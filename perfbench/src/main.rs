@@ -1,25 +1,26 @@
 //! The repository's benchmark: end-to-end and per-layer numbers for the
-//! Table 1 sweep and the `bd-serve` daemon, from one process.
+//! `bd-serve` daemon, from one process.
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
-//!     --workload table1-sweep|serve-hit|serve-miss --seed N --seconds S --trace 0|1
+//!     --workload serve-hit|serve-miss --seed N --seconds S --trace 0|1
 //! ```
 //!
-//! Human-readable progress goes to stdout first; the last stdout line is
-//! one JSON object `{"correct","attempted","failed","metrics"}`. With
-//! `--trace 0` the metrics are the end-to-end set, with `--trace 1` the
-//! per-layer set from a traced run (see README.md). Scratch files live
+//! Run it from the repository root: the metric names and units come from
+//! `BENCHMARK.json` there. Human-readable progress goes to stdout first;
+//! the last stdout line is one JSON object
+//! `{"correct","attempted","failed","metrics"}`. With `--trace 0` the
+//! metrics are the end-to-end set, with `--trace 1` the per-layer set
+//! from a traced run (see README.md). Scratch files live
 //! under `.bench_work/` in the working directory and are removed at exit,
 //! except the traced run's span files under `.bench_work/traces/`.
 
 mod report;
 mod serve;
 mod stats;
-mod sweep;
 mod trace;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Parsed command line.
@@ -31,7 +32,7 @@ pub struct Args {
     pub trace: bool,
 }
 
-const WORKLOADS: [&str; 3] = ["table1-sweep", "serve-hit", "serve-miss"];
+const WORKLOADS: [&str; 2] = ["serve-hit", "serve-miss"];
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let value = |flag: &str| -> Result<&str, String> {
@@ -121,6 +122,13 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let catalogue = match report::Catalogue::load(Path::new("BENCHMARK.json")) {
+        Ok(catalogue) => catalogue,
+        Err(e) => {
+            eprintln!("perfbench: {e} (run from the repository root)");
+            return ExitCode::FAILURE;
+        }
+    };
     let work = WorkDir(PathBuf::from(".bench_work").join(format!(
         "{}-{}",
         args.workload,
@@ -131,16 +139,16 @@ fn main() -> ExitCode {
         eprintln!("perfbench: creating {:?}: {e}", work.0);
         return ExitCode::FAILURE;
     }
-    let outcome = match args.workload.as_str() {
-        "table1-sweep" => sweep::run(&args, &work.0),
-        "serve-hit" => serve::run(&args, &work.0, serve::Class::Hit),
-        _ => serve::run(&args, &work.0, serve::Class::Miss),
+    let class = match args.workload.as_str() {
+        "serve-hit" => serve::Class::Hit,
+        _ => serve::Class::Miss,
     };
+    let outcome = serve::run(&args, &work.0, class);
     let outcome = outcome.and_then(|mut run| {
         run.end_to_end.set("peak_rss_mb", report::peak_rss_mb()?);
         let error_rate = run.failed as f64 / run.attempted.max(1) as f64;
         run.per_layer.set("error_rate", error_rate);
-        report::result_line(&run, args.trace)
+        report::result_line(&run, &catalogue, args.trace)
     });
     match outcome {
         Ok(line) => {

@@ -1,11 +1,12 @@
 //! The metric catalogue and the one-line JSON result.
 //!
-//! [`END_TO_END`] and [`per_layer`] must list exactly the metrics
-//! `BENCHMARK.json` names (a unit test checks it). A workload fills in
-//! what it measures; a per-layer metric whose layer the workload never
-//! calls is reported as `0` — no work was done there.
+//! `BENCHMARK.json` is the one list of metrics: [`Catalogue::load`] reads
+//! their names and units from it at run time. A workload fills in what it
+//! measures; a per-layer metric whose layer the workload never calls is
+//! reported as `0` — no work was done there.
 
 use crate::stats::{skipped_share, valid_metric_name};
+use std::path::Path;
 
 /// Table 1 rows in the paper's print order (the sweep order of
 /// `bd_bench::table1_sweeps`).
@@ -19,76 +20,62 @@ pub const ROWS: [&str; 7] = [
     "StrongGatheredTh6",
 ];
 
-/// End-to-end metrics: `(name, unit)`, reported by every untraced run.
-pub const END_TO_END: [(&str, &str); 5] = [
-    ("throughput_per_s", "1/s"),
-    ("latency_p50_ms", "ms"),
-    ("latency_tail_ms", "ms"),
-    ("setup_s", "s"),
-    ("peak_rss_mb", "MB"),
-];
+/// The metrics `BENCHMARK.json` declares, `(name, unit)` in file order.
+#[derive(Debug)]
+pub struct Catalogue {
+    pub end_to_end: Vec<(String, String)>,
+    pub per_layer: Vec<(String, String)>,
+}
 
-/// Per-layer metrics without a per-row suffix: `(name, unit)`.
-const LAYER_BASE: [(&str, &str); 35] = [
-    ("error_rate", "ratio"),
-    ("trace.overhead_share", "ratio"),
-    ("trace.spans", "count"),
-    ("plan.us", "us"),
-    ("plan.share", "ratio"),
-    ("engine.us", "us"),
-    ("engine.elapsed_us", "us"),
-    ("engine.stepped_rounds", "count"),
-    ("engine.skipped_share", "ratio"),
-    ("engine.ns_per_stepped_robot_round", "ns"),
-    ("batch.cores_busy", "ratio"),
-    ("verify.us", "us"),
-    ("graphs.gen_us", "us"),
-    ("canon.digest_us", "us"),
-    ("cached.add_us", "us"),
-    ("cached.hit_ratio", "ratio"),
-    ("store.open_us", "us"),
-    ("store.open_us_per_record", "us"),
-    ("store.verify_chain_us", "us"),
-    ("store.bytes_per_record", "bytes"),
-    ("store.get_us", "us"),
-    ("store.put_us", "us"),
-    ("client.latency_mean_us", "us"),
-    ("client.submit_us.p50", "us"),
-    ("client.submit_us.p99", "us"),
-    ("client.wait_us.p50", "us"),
-    ("client.wait_us.p99", "us"),
-    ("http.healthz_rtt_us", "us"),
-    ("daemon.read_parse_us", "us"),
-    ("daemon.queue_wait_us", "us"),
-    ("daemon.simulate_us", "us"),
-    ("daemon.store_write_us", "us"),
-    ("daemon.respond_us", "us"),
-    ("daemon.polls_per_batch", "count"),
-    ("daemon.unattributed_us", "us"),
-];
-
-/// Per-row per-layer metric prefixes: `(prefix, unit)`; the full name is
-/// `<prefix>.<Row>`.
-const LAYER_PER_ROW: [(&str, &str); 5] = [
-    ("plan.us", "us"),
-    ("engine.us", "us"),
-    ("engine.stepped_rounds", "count"),
-    ("engine.skipped_share", "ratio"),
-    ("engine.ns_per_stepped_robot_round", "ns"),
-];
-
-/// Every per-layer metric, `(name, unit)`, in report order.
-pub fn per_layer() -> Vec<(String, &'static str)> {
-    let mut all: Vec<(String, &'static str)> = LAYER_BASE
-        .iter()
-        .map(|&(n, u)| (n.to_string(), u))
-        .collect();
-    for (prefix, unit) in LAYER_PER_ROW {
-        for row in ROWS {
-            all.push((format!("{prefix}.{row}"), unit));
+impl Catalogue {
+    /// Read the `end_to_end` and `per_layer` lists of the `BENCHMARK.json`
+    /// at `path`. Fails on a missing list, an illegal or repeated name, or
+    /// a missing unit.
+    pub fn load(path: &Path) -> Result<Self, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path:?}: {e}"))?;
+        let doc: serde_json::Value =
+            serde_json::from_str(&text).map_err(|e| format!("parsing {path:?}: {e}"))?;
+        let list = |key: &str| -> Result<Vec<(String, String)>, String> {
+            let entries = doc
+                .get(key)
+                .and_then(|v| v.as_array())
+                .ok_or(format!("{path:?} has no {key} list"))?;
+            entries
+                .iter()
+                .map(|m| {
+                    let field = |k: &str| {
+                        m.get(k)
+                            .and_then(|v| v.as_str())
+                            .map(String::from)
+                            .ok_or(format!("a {key} entry lacks its {k}"))
+                    };
+                    Ok((field("name")?, field("unit")?))
+                })
+                .collect()
+        };
+        let catalogue = Catalogue {
+            end_to_end: list("end_to_end")?,
+            per_layer: list("per_layer")?,
+        };
+        let mut names: Vec<&str> = catalogue.names().collect();
+        if let Some(bad) = names.iter().find(|n| !valid_metric_name(n)) {
+            return Err(format!("illegal metric name {bad:?}"));
         }
+        let count = names.len();
+        names.sort_unstable();
+        names.dedup();
+        if names.len() != count {
+            return Err("a metric name is used twice".into());
+        }
+        Ok(catalogue)
     }
-    all
+
+    fn names(&self) -> impl Iterator<Item = &str> {
+        self.end_to_end
+            .iter()
+            .chain(&self.per_layer)
+            .map(|(n, _)| n.as_str())
+    }
 }
 
 /// Named measurements collected by a workload.
@@ -143,11 +130,10 @@ impl EngineSums {
         self.robot_rounds += other.robot_rounds;
     }
 
-    /// Record the plan/engine metrics under `suffix` (`""` for the total,
-    /// `".<Row>"` per row). Times and stepped rounds are divided by `per`:
-    /// 1 for totals per sweep, the cell count for means per request.
-    pub fn report(&self, layers: &mut Metrics, suffix: &str, per: f64) {
-        let per = per.max(1.0);
+    /// Record the plan/engine metrics under `suffix` (`""` for all rows,
+    /// `".<Row>"` per row): times and stepped rounds as means per cell.
+    pub fn report(&self, layers: &mut Metrics, suffix: &str) {
+        let per = self.cells.max(1) as f64;
         layers.set(format!("plan.us{suffix}"), self.plan_us / per);
         layers.set(format!("engine.us{suffix}"), self.engine_us / per);
         layers.set(
@@ -170,7 +156,7 @@ impl EngineSums {
 pub struct RunResult {
     /// Every output checked so far was correct.
     pub correct: bool,
-    /// Operations attempted (cells on the sweep, requests on serve-*).
+    /// Requests attempted.
     pub attempted: u64,
     /// Operations that failed, were refused, or returned a wrong result.
     pub failed: u64,
@@ -180,29 +166,35 @@ pub struct RunResult {
 
 /// The final stdout line: `{"correct":…,"attempted":…,"failed":…,
 /// "metrics":{name:{"value":…,"unit":…},…}}`. With `traced`, the metrics
-/// are the per-layer catalogue (unmeasured layers read 0), otherwise the
-/// end-to-end one. Fails when a value is missing or not finite.
-pub fn result_line(run: &RunResult, traced: bool) -> Result<String, String> {
-    let catalogue: Vec<(String, &str)> = if traced {
-        per_layer()
+/// are the catalogue's per-layer list (unmeasured layers read 0),
+/// otherwise its end-to-end list. Fails when an end-to-end value is
+/// missing, a value is not finite, or a traced run measured a per-layer
+/// metric the catalogue does not list.
+pub fn result_line(run: &RunResult, catalogue: &Catalogue, traced: bool) -> Result<String, String> {
+    let listed = if traced {
+        &catalogue.per_layer
     } else {
-        END_TO_END
-            .iter()
-            .map(|&(n, u)| (n.to_string(), u))
-            .collect()
+        &catalogue.end_to_end
     };
-    let mut entries = Vec::with_capacity(catalogue.len());
-    for (name, unit) in catalogue {
+    if traced {
+        if let Some((name, _)) = run
+            .per_layer
+            .0
+            .iter()
+            .find(|(name, _)| !listed.iter().any(|(n, _)| n == name))
+        {
+            return Err(format!("per-layer metric {name} is not in the catalogue"));
+        }
+    }
+    let mut entries = Vec::with_capacity(listed.len());
+    for (name, unit) in listed {
         let value = if traced {
-            run.per_layer.get(&name).unwrap_or(0.0)
+            run.per_layer.get(name).unwrap_or(0.0)
         } else {
             run.end_to_end
-                .get(&name)
+                .get(name)
                 .ok_or_else(|| format!("end-to-end metric {name} was not measured"))?
         };
-        if !valid_metric_name(&name) {
-            return Err(format!("illegal metric name {name:?}"));
-        }
         if !value.is_finite() {
             return Err(format!("metric {name} is not finite: {value}"));
         }
@@ -231,6 +223,13 @@ fn json_number(v: f64) -> String {
     }
 }
 
+/// Restart this process's peak resident set size (`VmHWM`) from its
+/// current resident set, so [`peak_rss_mb`] leaves out what ran before.
+pub fn reset_peak_rss() -> Result<(), String> {
+    std::fs::write("/proc/self/clear_refs", "5")
+        .map_err(|e| format!("resetting VmHWM through /proc/self/clear_refs: {e}"))
+}
+
 /// Peak resident set size of this process in MB, from `VmHWM`.
 pub fn peak_rss_mb() -> Result<f64, String> {
     let status = std::fs::read_to_string("/proc/self/status")
@@ -247,16 +246,9 @@ pub fn peak_rss_mb() -> Result<f64, String> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn catalogue_names_are_valid_and_unique() {
-        let mut names: Vec<String> = END_TO_END.iter().map(|&(n, _)| n.to_string()).collect();
-        names.extend(per_layer().into_iter().map(|(n, _)| n));
-        assert!(names.iter().all(|n| valid_metric_name(n)));
-        let count = names.len();
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), count, "duplicate metric name");
-        assert!(per_layer().len() <= 128);
+    fn benchmark_json() -> Catalogue {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../BENCHMARK.json");
+        Catalogue::load(&path).expect("BENCHMARK.json loads")
     }
 
     #[test]
@@ -268,55 +260,77 @@ mod tests {
         assert_eq!(names, ROWS);
     }
 
-    /// The catalogue and `BENCHMARK.json` name the same metrics with the
-    /// same units, in the same order.
+    /// Every per-row metric a serve-miss traced run sets is listed.
     #[test]
-    fn catalogue_matches_benchmark_json() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json");
-        let text = std::fs::read_to_string(path).expect("BENCHMARK.json");
-        let doc: serde_json::Value = serde_json::from_str(&text).expect("BENCHMARK.json parses");
-        let listed = |key: &str| -> Vec<(String, String)> {
-            doc.get(key)
-                .and_then(|v| v.as_array())
-                .expect(key)
-                .iter()
-                .map(|m| {
-                    let field = |k: &str| m.get(k).and_then(|v| v.as_str()).expect(k).to_string();
-                    (field("name"), field("unit"))
-                })
-                .collect()
+    fn benchmark_json_lists_every_per_row_metric() {
+        let catalogue = benchmark_json();
+        assert!(catalogue.per_layer.len() <= 128);
+        let mut layers = Metrics::default();
+        for row in ROWS {
+            EngineSums::default().report(&mut layers, &format!(".{row}"));
+        }
+        let run = RunResult {
+            per_layer: layers,
+            ..RunResult::default()
         };
-        let e2e: Vec<(String, String)> = END_TO_END
-            .iter()
-            .map(|&(n, u)| (n.to_string(), u.to_string()))
-            .collect();
-        assert_eq!(listed("end_to_end"), e2e);
-        let layers: Vec<(String, String)> = per_layer()
-            .into_iter()
-            .map(|(n, u)| (n, u.to_string()))
-            .collect();
-        assert_eq!(listed("per_layer"), layers);
+        result_line(&run, &catalogue, true).unwrap();
+    }
+
+    #[test]
+    fn load_refuses_bad_names() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join(".bench_work")
+            .join(format!("test-catalogue-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCHMARK.json");
+        let write = |e2e: &str| {
+            std::fs::write(
+                &path,
+                format!(r#"{{"end_to_end":[{e2e}],"per_layer":[{{"name":"a.b","unit":"us"}}]}}"#),
+            )
+            .unwrap();
+        };
+        write(r#"{"name":"setup_s","unit":"s"}"#);
+        assert_eq!(Catalogue::load(&path).unwrap().end_to_end.len(), 1);
+        write(r#"{"name":"set up","unit":"s"}"#);
+        assert!(Catalogue::load(&path).is_err());
+        write(r#"{"name":"a.b","unit":"s"}"#);
+        assert!(Catalogue::load(&path).is_err());
+        write(r#"{"name":"setup_s"}"#);
+        assert!(Catalogue::load(&path).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn result_line_reports_the_catalogue() {
+        let catalogue = Catalogue {
+            end_to_end: vec![
+                ("latency_p50_ms".into(), "ms".into()),
+                ("setup_s".into(), "s".into()),
+            ],
+            per_layer: vec![("plan.us".into(), "us".into())],
+        };
         let mut run = RunResult {
             correct: true,
             attempted: 3,
             failed: 0,
             ..RunResult::default()
         };
-        for (i, (name, _)) in END_TO_END.iter().enumerate() {
-            run.end_to_end.set(*name, i as f64 + 0.5);
-        }
-        let line = result_line(&run, false).unwrap();
-        assert!(line.starts_with("{\"correct\":true,\"attempted\":3,\"failed\":0,"));
-        assert!(line.contains("\"setup_s\":{\"value\":3.5,\"unit\":\"s\"}"));
-        let traced = result_line(&run, true).unwrap();
-        assert!(traced.contains("\"plan.us.QuotientTh1\":{\"value\":0.0,\"unit\":\"us\"}"));
+        run.end_to_end.set("latency_p50_ms", 1.25);
+        run.end_to_end.set("setup_s", 3.5);
+        let line = result_line(&run, &catalogue, false).unwrap();
+        assert_eq!(
+            line,
+            "{\"correct\":true,\"attempted\":3,\"failed\":0,\"metrics\":{\
+             \"latency_p50_ms\":{\"value\":1.25,\"unit\":\"ms\"},\
+             \"setup_s\":{\"value\":3.5,\"unit\":\"s\"}}}"
+        );
+        let traced = result_line(&run, &catalogue, true).unwrap();
+        assert!(traced.contains("\"plan.us\":{\"value\":0.0,\"unit\":\"us\"}"));
+        run.per_layer.set("verify.us", 2.0);
+        assert!(result_line(&run, &catalogue, true).is_err());
         run.end_to_end.set("setup_s", f64::NAN);
-        assert!(result_line(&run, false).is_err());
-        let empty = RunResult::default();
-        assert!(result_line(&empty, false).is_err());
+        assert!(result_line(&run, &catalogue, false).is_err());
+        assert!(result_line(&RunResult::default(), &catalogue, false).is_err());
     }
 }

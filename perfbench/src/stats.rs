@@ -157,9 +157,9 @@ mod tests {
         assert_eq!(tail_percentile(1000, E2E_TAIL_CAP), Some(95));
         // 999 samples: p99's rank is 990, only 9 beyond, so p98.
         assert_eq!(tail_percentile(999, 99), Some(98));
-        // 96 cells: p89 is rank 86, 10 beyond; p90 is rank 87.
+        // 96 samples: p89 is rank 86, 10 beyond; p90 is rank 87.
         assert_eq!(tail_percentile(96, 99), Some(89));
-        // Two sweeps' 192 cell latencies: p94 is rank 181, 11 beyond.
+        // 192 samples: p94 is rank 181, 11 beyond.
         assert_eq!(tail_percentile(192, E2E_TAIL_CAP), Some(94));
         assert_eq!(tail_percentile(20, 99), Some(50));
         assert_eq!(tail_percentile(19, 99), None);

@@ -9,8 +9,8 @@
 use std::io::Write;
 use std::time::Instant;
 
-/// One finished span. `req` groups the spans of one request (or, on the
-/// sweep, one cell); `parent` names the span that caused this one.
+/// One finished span. `req` groups the spans of one request; `parent`
+/// names the span that caused this one.
 #[derive(Debug, Clone)]
 pub struct Span {
     pub name: &'static str,
