@@ -69,8 +69,8 @@ impl CacheStats {
 }
 
 enum Slot {
-    /// Served from the store at `add` time.
-    Hit(Box<Outcome>),
+    /// Served from the store at `add` time, under this digest.
+    Hit(SpecDigest, Box<Outcome>),
     /// Queued on the inner planner at this index; written back after the
     /// run under this digest.
     Queued {
@@ -173,7 +173,7 @@ impl<'s> CachedPlanner<'s> {
             Slot::Alias(first)
         } else {
             match self.store.get(&digest) {
-                Some(outcome) => Slot::Hit(Box::new(outcome)),
+                Some(outcome) => Slot::Hit(digest, Box::new(outcome)),
                 None => {
                     self.queued.insert(digest, self.slots.len());
                     Slot::Queued {
@@ -215,9 +215,19 @@ impl<'s> CachedPlanner<'s> {
     /// its result from. The daemon reports this per cell.
     pub fn source(&self, idx: usize) -> CellSource {
         match self.slots[idx] {
-            Slot::Hit(_) => CellSource::Store,
+            Slot::Hit(..) => CellSource::Store,
             Slot::Queued { .. } => CellSource::Simulation,
             Slot::Alias(_) => CellSource::Dedup,
+        }
+    }
+
+    /// The digest cell `idx` was answered under, when its source is
+    /// [`CellSource::Store`]: its outcome stays readable through
+    /// [`ResultStore::peek`] for the store's lifetime.
+    pub fn stored_digest(&self, idx: usize) -> Option<SpecDigest> {
+        match self.slots[idx] {
+            Slot::Hit(digest, _) => Some(digest),
+            _ => None,
         }
     }
 
@@ -242,7 +252,7 @@ impl<'s> CachedPlanner<'s> {
         let mut aliases: Vec<(usize, usize)> = Vec::new();
         for (idx, slot) in self.slots.into_iter().enumerate() {
             match slot {
-                Slot::Hit(outcome) => {
+                Slot::Hit(_, outcome) => {
                     stats.hits += 1;
                     stats.rounds_saved += outcome.rounds;
                     results[idx] = Some(Ok(*outcome));

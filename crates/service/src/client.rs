@@ -242,12 +242,26 @@ impl Client {
         self.get(&format!("/batches/{id}"))
     }
 
-    /// Poll `GET /batches/:id` until the batch leaves the queue (done or
-    /// failed), or `timeout` elapses.
+    /// Wait until the batch leaves the queue (done or failed), or
+    /// `timeout` elapses.
+    ///
+    /// Each poll is a held `GET /batches/:id?wait_ms=N`: the daemon
+    /// answers the moment the batch finishes, so the client never sleeps
+    /// between polls, and a batch that finishes within one hold costs a
+    /// single request. A hold asks for at most `min(remaining, io_timeout
+    /// / 2)`, so the poll always answers within the client's own read
+    /// deadline — even a [`ClientConfig::impatient`] client waits out a
+    /// batch slower than its deadline, one short hold at a time. The
+    /// daemon may clamp the hold further (to its own deadlines) or answer
+    /// early on shutdown; the loop re-polls either way.
     pub fn wait(&self, id: u64, timeout: Duration) -> Result<BatchReply, ServiceError> {
         let deadline = Instant::now() + timeout;
         loop {
-            let reply = self.batch(id)?;
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            let hold = remaining.min(self.config.io_timeout / 2);
+            // Rounded up, so the last hold reaches the deadline.
+            let wait_ms = hold.as_micros().div_ceil(1000);
+            let reply: BatchReply = self.get(&format!("/batches/{id}?wait_ms={wait_ms}"))?;
             match reply.status.as_str() {
                 "done" | "failed" => return Ok(reply),
                 _ if Instant::now() >= deadline => {
@@ -256,7 +270,7 @@ impl Client {
                         reply.status
                     )))
                 }
-                _ => std::thread::sleep(Duration::from_millis(20)),
+                _ => {}
             }
         }
     }

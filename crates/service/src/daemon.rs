@@ -4,28 +4,39 @@
 //!
 //! Life of a batch: `POST /batches` validates the JSON, allocates an id,
 //! and `try_send`s the id into the bounded queue (`503` when full — the
-//! daemon sheds load instead of buffering unboundedly). A worker pops the
-//! id, materializes the graph (memoized by source, capped), runs a
-//! [`CachedPlanner`] over the daemon's [`ResultStore`], and parks results
-//! and [`CacheStats`] on the batch record. `GET /batches/:id` serves the
-//! record at any point in its lifecycle; `GET /stats` aggregates across
-//! batches; `GET /metrics` serves the same accounting (plus worker
-//! busy-time and per-row throughput histograms) as a Prometheus text
-//! exposition (OBSERVABILITY.md documents every metric).
+//! daemon sheds load instead of buffering unboundedly). A worker blocks on
+//! the queue, pops the id, materializes the graph (memoized by source,
+//! capped), and runs a [`CachedPlanner`] over the daemon's
+//! [`ResultStore`]. It then folds the batch into the cross-batch
+//! accounting, and only after that publishes the terminal state (results
+//! and [`CacheStats`], or the failure) on the batch record and wakes every
+//! held status poll. `GET /batches/:id` serves the record at any point in
+//! its lifecycle; with `?wait_ms=N` it is a long poll that holds the
+//! connection until the batch is done or failed, or N ms pass (capped by
+//! [`http::IO_TIMEOUT`] and the daemon's total request deadline). A client
+//! therefore learns of completion the moment it is published, without
+//! sleeping between polls. `GET /stats` aggregates across batches;
+//! `GET /metrics` serves the same accounting (plus worker busy-time and
+//! per-row throughput histograms) as a Prometheus text exposition
+//! (OBSERVABILITY.md documents every metric).
 //!
 //! All cross-batch accounting lives in one `ServeMetrics` behind one
 //! mutex: a worker merges a batch's stats and bumps `completed` in a
 //! single critical section, and `/stats` / `/metrics` snapshot in one
 //! acquisition — a reader can never observe a torn view (say, a
-//! `completed` bump without the totals that came with it).
+//! `completed` bump without the totals that came with it). Because the
+//! record turns done or failed only after that section, a caller that has
+//! seen its batch finish and then reads `/stats` always finds it counted.
 //!
 //! Each accepted connection is handled on its own thread, bounded by
 //! [`http::Deadlines`]: a per-read idle timeout *and* a whole-request
 //! total deadline, so neither a stalled client nor a slow-loris trickle
 //! can hold a thread hostage or block `/healthz` and `/shutdown`. Memory
-//! is bounded: only the most recent [`COMPLETED_RETENTION`] finished
+//! is bounded: only the [`COMPLETED_RETENTION`] most recently finished
 //! batch records are kept (older ones answer `404` after eviction) and at
-//! most [`GRAPH_MEMO_CAP`] graphs stay memoized.
+//! most [`GRAPH_MEMO_CAP`] graphs stay memoized. A kept record does not
+//! copy the outcomes the store answered: it keeps their digests, and each
+//! reply re-reads them from the store's append-only index.
 //!
 //! **Graceful degradation** (RESILIENCE.md): the store is an
 //! availability liability the compute path does not share, so it is never
@@ -46,9 +57,13 @@
 //! counters partially merged — availability over perfectly-consistent
 //! metrics, for metrics only.
 //!
-//! Shutdown (`POST /shutdown` or [`Daemon::shutdown`]) stops the acceptor,
-//! which drops the queue sender; workers drain what was already accepted,
-//! see the channel disconnect, and exit — no job is abandoned half-run.
+//! Shutdown (`POST /shutdown` or [`Daemon::shutdown`]) clears the running
+//! flag, releases every held status poll, and wakes the acceptor — which
+//! sleeps in a blocking `accept` — by connecting to the daemon's own
+//! address (an unspecified bind address such as `0.0.0.0` is reached over
+//! loopback). The acceptor drops that wake-up connection and exits, which
+//! drops the queue sender; workers drain what was already accepted, see
+//! the channel disconnect, and exit — no job is abandoned half-run.
 
 use crate::cached::{CacheStats, CachedPlanner, CellSource};
 use crate::error::ServiceError;
@@ -59,18 +74,19 @@ use crate::protocol::{
 };
 use crate::store::{ResultStore, StoreOptions};
 use bd_chaos::{Chaos, WorkerFault};
-use bd_dispersion::canon::Fnv64;
-use bd_dispersion::BatchPlanner;
+use bd_dispersion::canon::{Fnv64, SpecDigest};
+use bd_dispersion::runner::Outcome;
+use bd_dispersion::{BatchPlanner, DispersionError};
 use bd_graphs::PortGraph;
 use bd_telemetry::log as tlog;
 use bd_telemetry::prom::{self, Histogram, PromText};
 use bd_telemetry::spans;
-use std::collections::{BTreeMap, HashMap};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -122,11 +138,48 @@ enum BatchState {
     Failed(String),
 }
 
+/// One cell of a finished batch, as its record keeps it.
+enum KeptCell {
+    /// Answered from the store under this digest. The store's index is
+    /// append-only, so the record keeps the key rather than a second copy
+    /// of the outcome, and every reply re-reads it.
+    Stored(SpecDigest),
+    /// Simulated, errored, or computed while degraded: kept whole (boxed,
+    /// so a stored cell stays digest-sized).
+    Inline(Box<CellResult>),
+}
+
+impl KeptCell {
+    /// A cell this batch simulated, or failed to.
+    fn computed(result: Result<Outcome, DispersionError>) -> KeptCell {
+        let (outcome, error) = match result {
+            Ok(outcome) => (Some(outcome), None),
+            Err(e) => (None, Some(e.to_string())),
+        };
+        KeptCell::Inline(Box::new(CellResult {
+            cached: false,
+            outcome,
+            error,
+        }))
+    }
+
+    fn resolve(&self, store: Option<&ResultStore>) -> CellResult {
+        match self {
+            KeptCell::Stored(digest) => CellResult {
+                cached: true,
+                outcome: store.and_then(|s| s.peek(digest)),
+                error: None,
+            },
+            KeptCell::Inline(cell) => CellResult::clone(cell),
+        }
+    }
+}
+
 struct BatchRecord {
     /// The pending request; taken (freed) when a worker starts the batch.
     request: Option<BatchRequest>,
     state: BatchState,
-    cells: Vec<CellResult>,
+    cells: Vec<KeptCell>,
     stats: Option<CacheStats>,
     /// The request's trace id: client-submitted, or derived from the raw
     /// body when the submission carried an empty one. Echoed on every
@@ -137,9 +190,84 @@ struct BatchRecord {
     queued_at: Instant,
 }
 
+impl BatchRecord {
+    fn is_finished(&self) -> bool {
+        matches!(self.state, BatchState::Done | BatchState::Failed(_))
+    }
+
+    /// The record's `GET /batches/:id` reply, stored cells re-read from
+    /// `store`.
+    fn reply(&self, id: u64, store: Option<&ResultStore>) -> BatchReply {
+        let (status, error) = match &self.state {
+            BatchState::Queued => ("queued", None),
+            BatchState::Running => ("running", None),
+            BatchState::Done => ("done", None),
+            BatchState::Failed(msg) => ("failed", Some(msg.clone())),
+        };
+        BatchReply {
+            id,
+            status: status.into(),
+            error,
+            cells: self.cells.iter().map(|cell| cell.resolve(store)).collect(),
+            stats: self.stats,
+            request_id: self.request_id.clone(),
+        }
+    }
+}
+
+/// Every batch record, plus the ids of the finished ones in the order they
+/// finished — the eviction queue that keeps [`COMPLETED_RETENTION`] an
+/// O(1) bound per completion.
+#[derive(Default)]
+struct BatchMap {
+    records: BTreeMap<u64, BatchRecord>,
+    finished: VecDeque<u64>,
+}
+
+impl BatchMap {
+    /// Publish a batch's terminal state (`Done` with its cells and stats,
+    /// or `Failed`), then evict the earliest-finished record beyond
+    /// [`COMPLETED_RETENTION`]. A record that already finished or is gone
+    /// is left alone.
+    fn finish(&mut self, id: u64, finished: Finished) {
+        let Some(record) = self.records.get_mut(&id) else {
+            return;
+        };
+        if record.is_finished() {
+            return;
+        }
+        match finished {
+            Ok((cells, stats)) => {
+                record.cells = cells;
+                record.stats = Some(stats);
+                record.state = BatchState::Done;
+            }
+            Err(msg) => record.state = BatchState::Failed(msg),
+        }
+        self.finished.push_back(id);
+        if self.finished.len() > COMPLETED_RETENTION {
+            if let Some(oldest) = self.finished.pop_front() {
+                self.records.remove(&oldest);
+            }
+        }
+    }
+}
+
+/// How a popped batch ended: its cells and stats, or the failure message.
+type Finished = Result<(Vec<KeptCell>, CacheStats), String>;
+
+/// A batch that ran: its cells, its stats, and the per-row
+/// `(row name, rounds/sec)` throughput observations of its simulated
+/// cells.
+type BatchRun = (Vec<KeptCell>, CacheStats, Vec<(String, u64)>);
+
+/// The failure a panicked batch reports.
+const PANIC_MSG: &str =
+    "worker panicked while running this batch (daemon still serving; see bd_worker_panics_total)";
+
 /// Completed (done/failed) batch records retained for `GET /batches/:id`;
-/// older completed records are evicted so a long-lived daemon's memory
-/// stays bounded. In-flight records are never evicted.
+/// the earliest-finished records beyond it are evicted so a long-lived
+/// daemon's memory stays bounded. In-flight records are never evicted.
 pub const COMPLETED_RETENTION: usize = 1024;
 
 /// Distinct graphs memoized at once. Beyond this, a batch's graph is
@@ -262,10 +390,16 @@ struct State {
     /// `Some(reason)` once the daemon has entered degraded compute-only
     /// mode. One-way for the process lifetime.
     degraded: Mutex<Option<String>>,
-    batches: Mutex<BTreeMap<u64, BatchRecord>>,
+    batches: Mutex<BatchMap>,
+    /// Signalled (under `batches`) whenever a record turns done or failed
+    /// and on shutdown — what held `GET /batches/:id?wait_ms=N` polls
+    /// sleep on.
+    batch_done: Condvar,
     graphs: Mutex<HashMap<String, Arc<PortGraph>>>,
     next_id: AtomicU64,
     running: AtomicBool,
+    /// The bound address, which [`State::stop`] connects to.
+    local_addr: SocketAddr,
     /// HTTP connections currently being handled (each on its own thread).
     connections: AtomicU64,
     workers: usize,
@@ -298,19 +432,29 @@ impl State {
         }
     }
 
-    /// Drop the oldest completed records beyond [`COMPLETED_RETENTION`]
-    /// (BTreeMap iterates in id order, so the oldest go first).
-    fn evict_completed(&self) {
-        let mut batches = lock_recover(&self.batches);
-        let completed: Vec<u64> = batches
-            .iter()
-            .filter(|(_, r)| matches!(r.state, BatchState::Done | BatchState::Failed(_)))
-            .map(|(&id, _)| id)
-            .collect();
-        if completed.len() > COMPLETED_RETENTION {
-            for id in &completed[..completed.len() - COMPLETED_RETENTION] {
-                batches.remove(id);
-            }
+    /// Stop accepting: clear the running flag, release every held status
+    /// poll, and wake the acceptor out of its blocking `accept` by
+    /// connecting to our own address. The one shutdown path, shared by
+    /// [`Daemon::shutdown`] and `POST /shutdown`.
+    fn stop(&self) {
+        self.running.store(false, Ordering::SeqCst);
+        // Notify under the lock: a poll that saw `running` still set is
+        // then already parked on the condvar and cannot miss this.
+        {
+            let _batches = lock_recover(&self.batches);
+            self.batch_done.notify_all();
+        }
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        if let Err(e) = TcpStream::connect_timeout(&wake, http::IO_TIMEOUT) {
+            // Only reachable when the listener is already gone (a second
+            // stop) or the host refuses loopback.
+            tlog::warn("shutdown_wake_failed", &[("error", &e.to_string())]);
         }
     }
 }
@@ -328,7 +472,6 @@ impl Drop for ConnectionGuard {
 /// A running daemon. Dropping the handle does **not** stop it; call
 /// [`Daemon::shutdown`] (or send `POST /shutdown`) then [`Daemon::join`].
 pub struct Daemon {
-    local_addr: SocketAddr,
     state: Arc<State>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
@@ -337,7 +480,7 @@ pub struct Daemon {
 impl std::fmt::Debug for Daemon {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Daemon")
-            .field("addr", &self.local_addr)
+            .field("addr", &self.state.local_addr)
             .finish()
     }
 }
@@ -366,16 +509,17 @@ impl Daemon {
         };
         let listener = TcpListener::bind(config.addr.as_str())?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let workers = config.workers.max(1);
         let state = Arc::new(State {
             store,
             degraded: Mutex::new(degraded.clone()),
-            batches: Mutex::new(BTreeMap::new()),
+            batches: Mutex::new(BatchMap::default()),
+            batch_done: Condvar::new(),
             graphs: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             running: AtomicBool::new(true),
+            local_addr,
             connections: AtomicU64::new(0),
             workers,
             deadlines: config.deadlines,
@@ -408,7 +552,6 @@ impl Daemon {
         };
 
         Ok(Daemon {
-            local_addr,
             state,
             acceptor: Some(acceptor),
             workers: worker_handles,
@@ -417,7 +560,7 @@ impl Daemon {
 
     /// The bound address (resolves port `0`).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.state.local_addr
     }
 
     /// Whether the daemon is in degraded compute-only mode.
@@ -425,9 +568,10 @@ impl Daemon {
         self.state.is_degraded()
     }
 
-    /// Ask the daemon to stop accepting; queued work still drains.
+    /// Ask the daemon to stop accepting; queued work still drains and
+    /// held status polls answer at once.
     pub fn shutdown(&self) {
-        self.state.running.store(false, Ordering::SeqCst);
+        self.state.stop();
     }
 
     /// Wait until the daemon has stopped (after [`Daemon::shutdown`] or a
@@ -453,8 +597,14 @@ impl Daemon {
 }
 
 fn accept_loop(listener: &TcpListener, state: &Arc<State>, tx: &SyncSender<u64>) {
-    while state.running.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // `State::stop` clears the flag before its wake-up connection
+        // lands, so that connection (or any racing it) is dropped here.
+        if !state.running.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 // One thread per connection: a slow or stalled client must
                 // never block /healthz, /shutdown, or other submissions.
@@ -469,9 +619,8 @@ fn accept_loop(listener: &TcpListener, state: &Arc<State>, tx: &SyncSender<u64>)
                     handle_connection(stream, &state, &tx);
                 });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // A failed accept (say, out of file descriptors) would fail
+            // again at once; back off instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -552,9 +701,9 @@ fn route(req: &http::Request, state: &Arc<State>, tx: &SyncSender<u64>) -> (u16,
         }
         ("GET", "/audit") => audit(state),
         ("POST", "/batches") => submit_batch(&req.body, state, tx),
-        ("GET", path) if path.starts_with("/batches/") => batch_status(path, state),
+        ("GET", path) if path.starts_with("/batches/") => batch_status(req, state),
         ("POST", "/shutdown") => {
-            state.running.store(false, Ordering::SeqCst);
+            state.stop();
             (200, "{\"ok\":true}".to_string())
         }
         ("GET" | "POST", _) => (404, error_body(&format!("no route {}", req.path))),
@@ -623,7 +772,7 @@ fn submit_batch(body: &str, state: &Arc<State>, tx: &SyncSender<u64>) -> (u16, S
         request.request_id.clone()
     };
     let id = state.next_id.fetch_add(1, Ordering::Relaxed);
-    lock_recover(&state.batches).insert(
+    lock_recover(&state.batches).records.insert(
         id,
         BatchRecord {
             request: Some(request),
@@ -662,7 +811,7 @@ fn submit_batch(body: &str, state: &Arc<State>, tx: &SyncSender<u64>) -> (u16, S
             m.submitted -= 1;
             m.shed += 1;
             drop(m);
-            lock_recover(&state.batches).remove(&id);
+            lock_recover(&state.batches).records.remove(&id);
             let msg = match e {
                 TrySendError::Full(_) => "job queue full, resubmit later",
                 TrySendError::Disconnected(_) => "daemon is shutting down",
@@ -673,103 +822,157 @@ fn submit_batch(body: &str, state: &Arc<State>, tx: &SyncSender<u64>) -> (u16, S
     }
 }
 
-fn batch_status(path: &str, state: &Arc<State>) -> (u16, String) {
+/// How long a `GET /batches/:id` may hold: `wait_ms` from the query
+/// (absent means answer at once), clamped to [`http::IO_TIMEOUT`] and to
+/// the daemon's total request deadline, so a held connection thread never
+/// outlives the per-connection bound. A `wait_ms` that is not a
+/// non-negative integer is an error, not a silent fallback.
+fn hold_for(req: &http::Request, deadlines: http::Deadlines) -> Result<Duration, String> {
+    let Some(raw) = req.query_param("wait_ms") else {
+        return Ok(Duration::ZERO);
+    };
+    let ms: u64 = raw
+        .parse()
+        .map_err(|_| format!("bad wait_ms {raw:?}: expected milliseconds"))?;
+    Ok(Duration::from_millis(ms)
+        .min(http::IO_TIMEOUT)
+        .min(deadlines.total))
+}
+
+/// `GET /batches/:id[?wait_ms=N]`: the record's current state, after
+/// holding until it is done or failed, shutdown begins, or the hold
+/// ([`hold_for`]) runs out.
+fn batch_status(req: &http::Request, state: &Arc<State>) -> (u16, String) {
+    let path = req.path.as_str();
     let id: u64 = match path["/batches/".len()..].parse() {
         Ok(id) => id,
         Err(_) => return (400, error_body(&format!("bad batch id in {path}"))),
     };
-    let batches = lock_recover(&state.batches);
-    let Some(record) = batches.get(&id) else {
-        return (404, error_body(&format!("no batch {id}")));
+    let hold = match hold_for(req, state.deadlines) {
+        Ok(hold) => hold,
+        Err(msg) => return (400, error_body(&msg)),
     };
-    let (status, error) = match &record.state {
-        BatchState::Queued => ("queued", None),
-        BatchState::Running => ("running", None),
-        BatchState::Done => ("done", None),
-        BatchState::Failed(msg) => ("failed", Some(msg.clone())),
-    };
-    let reply = BatchReply {
-        id,
-        status: status.into(),
-        error,
-        cells: record.cells.clone(),
-        stats: record.stats,
-        request_id: record.request_id.clone(),
-    };
-    (200, serde_json::to_string(&reply).expect("batch reply"))
+    let deadline = Instant::now() + hold;
+    let mut batches = lock_recover(&state.batches);
+    loop {
+        let Some(record) = batches.records.get(&id) else {
+            return (404, error_body(&format!("no batch {id}")));
+        };
+        let left = deadline.saturating_duration_since(Instant::now());
+        if record.is_finished() || left.is_zero() || !state.running.load(Ordering::SeqCst) {
+            let reply = record.reply(id, state.store.as_ref());
+            // Serialize outside the lock: other polls and submissions
+            // need it.
+            drop(batches);
+            return (200, serde_json::to_string(&reply).expect("batch reply"));
+        }
+        batches = state
+            .batch_done
+            .wait_timeout(batches, left)
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .0;
+    }
 }
 
 fn worker_loop(state: &Arc<State>, rx: &Arc<Mutex<Receiver<u64>>>) {
     loop {
-        let job = {
-            let rx = lock_recover(rx);
-            rx.recv_timeout(Duration::from_millis(50))
-        };
-        match job {
-            Ok(id) => {
-                let t0 = std::time::Instant::now();
-                // Panic isolation: a batch that panics (a bug, or the
-                // chaos drill's injected WorkerFault) fails *that batch*;
-                // the worker thread survives and keeps draining.
-                let done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    process_batch(state, id)
-                }));
-                // One critical section for the whole completion: totals,
-                // throughput and stage observations, busy time, and the
-                // `completed` bump land together, so `/stats` and
-                // `/metrics` readers always see them as a unit.
-                match done {
-                    Ok((queue_wait, done)) => {
-                        let mut m = lock_recover(&state.metrics);
-                        m.busy_micros += t0.elapsed().as_micros() as u64;
-                        if let Some(wait) = queue_wait {
-                            m.queue_wait_micros += wait;
-                            m.stages.queue_wait.observe(wait);
+        // A statement of its own, so the receiver's lock is released
+        // before the batch runs. The receiver disconnects once the
+        // acceptor and every connection thread have dropped their senders
+        // and the queue is drained.
+        let job = lock_recover(rx).recv();
+        let Ok(id) = job else { break };
+        let t0 = Instant::now();
+        // Panic isolation: a batch that panics (a bug, or the chaos
+        // drill's injected WorkerFault) fails *that batch*; the worker
+        // thread survives and keeps draining.
+        let run =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| process_batch(state, id)));
+        // One critical section for the whole completion: totals,
+        // throughput and stage observations, busy time, and the
+        // `completed` bump land together, so `/stats` and `/metrics`
+        // readers always see them as a unit.
+        let finished: Option<Finished> = {
+            let mut m = lock_recover(&state.metrics);
+            m.busy_micros += t0.elapsed().as_micros() as u64;
+            m.completed += 1;
+            match run {
+                Ok(None) => None,
+                Ok(Some((wait, result))) => {
+                    m.queue_wait_micros += wait;
+                    m.stages.queue_wait.observe(wait);
+                    Some(result.map(|(cells, stats, observations)| {
+                        m.stages.simulate.observe(stats.simulate_wall_micros);
+                        m.stages.store_write.observe(stats.store_write_micros);
+                        m.totals.merge(&stats);
+                        for (row, rps) in observations {
+                            m.row_rps
+                                .entry(row)
+                                .or_insert_with(|| Histogram::new(RPS_BUCKETS))
+                                .observe(rps);
                         }
-                        if let Some((stats, observations)) = done {
-                            m.stages.simulate.observe(stats.simulate_wall_micros);
-                            m.stages.store_write.observe(stats.store_write_micros);
-                            m.totals.merge(&stats);
-                            for (row, rps) in observations {
-                                m.row_rps
-                                    .entry(row)
-                                    .or_insert_with(|| Histogram::new(RPS_BUCKETS))
-                                    .observe(rps);
-                            }
-                        }
-                        m.completed += 1;
-                    }
-                    Err(_) => {
-                        let mut batches = lock_recover(&state.batches);
-                        let mut request_id = String::new();
-                        if let Some(record) = batches.get_mut(&id) {
-                            request_id = record.request_id.clone();
-                            if !matches!(record.state, BatchState::Done | BatchState::Failed(_)) {
-                                record.state = BatchState::Failed(
-                                    "worker panicked while running this batch (daemon still \
-                                     serving; see bd_worker_panics_total)"
-                                        .into(),
-                                );
-                            }
-                        }
-                        drop(batches);
-                        if tlog::enabled(tlog::Level::Error) {
-                            tlog::error(
-                                "worker_panic",
-                                &[("req", &request_id), ("batch", &id.to_string())],
-                            );
-                        }
-                        let mut m = lock_recover(&state.metrics);
-                        m.busy_micros += t0.elapsed().as_micros() as u64;
-                        m.worker_panics += 1;
-                        m.completed += 1;
-                    }
+                        (cells, stats)
+                    }))
+                }
+                Err(_) => {
+                    m.worker_panics += 1;
+                    Some(Err(PANIC_MSG.into()))
                 }
             }
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
+        };
+        // Publish only now, after the accounting: a caller woken by the
+        // terminal state must find the batch counted in `/stats`.
+        if let Some(finished) = finished {
+            publish(state, id, finished);
         }
     }
+}
+
+/// Log a batch's end, set its terminal state, and wake every held poll.
+fn publish(state: &Arc<State>, id: u64, finished: Finished) {
+    let mut batches = lock_recover(&state.batches);
+    let request_id = batches
+        .records
+        .get(&id)
+        .map(|r| r.request_id.clone())
+        .unwrap_or_default();
+    match &finished {
+        Ok((_, stats)) => {
+            if tlog::enabled(tlog::Level::Info) {
+                tlog::info(
+                    "batch_done",
+                    &[
+                        ("req", &request_id),
+                        ("batch", &id.to_string()),
+                        ("hits", &stats.hits.to_string()),
+                        ("misses", &stats.misses.to_string()),
+                        ("deduped", &stats.deduped.to_string()),
+                        ("errors", &stats.errors.to_string()),
+                    ],
+                );
+            }
+        }
+        Err(msg) => {
+            if tlog::enabled(tlog::Level::Error) {
+                let event = if msg == PANIC_MSG {
+                    "worker_panic"
+                } else {
+                    "batch_failed"
+                };
+                tlog::error(
+                    event,
+                    &[
+                        ("req", &request_id),
+                        ("batch", &id.to_string()),
+                        ("error", msg),
+                    ],
+                );
+            }
+        }
+    }
+    batches.finish(id, finished);
+    drop(batches);
+    state.batch_done.notify_all();
 }
 
 /// The daemon's graph materialization, memoized by canonical source key so
@@ -791,29 +994,20 @@ fn graph_for(state: &Arc<State>, source: &GraphSource) -> Result<Arc<PortGraph>,
     Ok(Arc::clone(graphs.entry(key).or_insert(g)))
 }
 
-/// Run one popped batch to completion. Returns the batch's queue wait
-/// (known whenever its record was found) plus its stats and per-row
-/// `(row name, rounds/sec)` throughput observations for its *simulated*
-/// cells when the batch finished — the caller folds everything into
-/// [`ServeMetrics`] in one critical section.
-#[allow(clippy::type_complexity)]
-fn process_batch(
-    state: &Arc<State>,
-    id: u64,
-) -> (Option<u64>, Option<(CacheStats, Vec<(String, u64)>)>) {
+/// Run one popped batch to completion. Returns `None` when the batch has
+/// no pending record (nothing to run), else its queue wait in
+/// microseconds and its run or failure message. The caller folds the
+/// result into [`ServeMetrics`] and then publishes it on the record.
+fn process_batch(state: &Arc<State>, id: u64) -> Option<(u64, Result<BatchRun, String>)> {
     let (request, request_id, queue_wait) = {
         let mut batches = lock_recover(&state.batches);
-        let Some(record) = batches.get_mut(&id) else {
-            return (None, None);
-        };
-        record.state = BatchState::Running;
-        let wait = record.queued_at.elapsed().as_micros() as u64;
+        let record = batches.records.get_mut(&id)?;
         // Take, don't clone: nothing reads the request after this point,
         // and an `Explicit` graph source can be megabytes — retained
         // requests would defeat the record-retention memory bound.
-        let Some(request) = record.request.take() else {
-            return (None, None);
-        };
+        let request = record.request.take()?;
+        record.state = BatchState::Running;
+        let wait = record.queued_at.elapsed().as_micros() as u64;
         (request, record.request_id.clone(), wait)
     };
     if tlog::enabled(tlog::Level::Debug) {
@@ -831,64 +1025,20 @@ fn process_batch(
     // The request level of the span tree: one span per batch carrying the
     // trace id, enclosing the planner's batch → cell → phase spans — a
     // Chrome trace of a busy daemon separates into per-request lifelines.
-    let result = {
-        let _request_span = spans::span_with(
-            "request",
-            "request",
-            vec![("req", request_id.clone()), ("batch", id.to_string())],
-        );
-        run_request(state, &request, &request_id)
-    };
-    let done = {
-        let mut batches = lock_recover(&state.batches);
-        let Some(record) = batches.get_mut(&id) else {
-            return (Some(queue_wait), None);
-        };
-        match result {
-            Ok((cells, stats, observations)) => {
-                record.cells = cells;
-                record.stats = Some(stats);
-                record.state = BatchState::Done;
-                if tlog::enabled(tlog::Level::Info) {
-                    tlog::info(
-                        "batch_done",
-                        &[
-                            ("req", &request_id),
-                            ("batch", &id.to_string()),
-                            ("hits", &stats.hits.to_string()),
-                            ("misses", &stats.misses.to_string()),
-                            ("deduped", &stats.deduped.to_string()),
-                            ("errors", &stats.errors.to_string()),
-                        ],
-                    );
-                }
-                Some((stats, observations))
-            }
-            Err(e) => {
-                if tlog::enabled(tlog::Level::Error) {
-                    tlog::error(
-                        "batch_failed",
-                        &[
-                            ("req", &request_id),
-                            ("batch", &id.to_string()),
-                            ("error", &e.to_string()),
-                        ],
-                    );
-                }
-                record.state = BatchState::Failed(e.to_string());
-                None
-            }
-        }
-    };
-    state.evict_completed();
-    (Some(queue_wait), done)
+    let _request_span = spans::span_with(
+        "request",
+        "request",
+        vec![("req", request_id.clone()), ("batch", id.to_string())],
+    );
+    let result = run_request(state, &request, &request_id).map_err(|e| e.to_string());
+    Some((queue_wait, result))
 }
 
 fn run_request(
     state: &Arc<State>,
     request: &BatchRequest,
     request_id: &str,
-) -> Result<(Vec<CellResult>, CacheStats, Vec<(String, u64)>), ServiceError> {
+) -> Result<BatchRun, ServiceError> {
     let graph = graph_for(state, &request.graph)?;
     if let Some(store) = state.healthy_store() {
         match run_cached(store, &graph, request, request_id) {
@@ -915,18 +1065,19 @@ fn run_cached(
     graph: &Arc<PortGraph>,
     request: &BatchRequest,
     request_id: &str,
-) -> Result<(Vec<CellResult>, CacheStats, Vec<(String, u64)>), ServiceError> {
+) -> Result<BatchRun, ServiceError> {
     let mut planner = CachedPlanner::new(store);
     planner.tag("req", request_id.to_string());
     // Per-cell provenance comes straight from the planner: only a store
     // hit is `cached` (an in-batch duplicate aliases a simulation of this
-    // very batch, which is not "answered by the store").
-    let sources: Vec<CellSource> = request
+    // very batch, which is not "answered by the store"), and only a hit
+    // is kept as its store digest.
+    let sources: Vec<(CellSource, Option<SpecDigest>)> = request
         .specs
         .iter()
         .map(|spec| {
             let idx = planner.add(graph, spec.clone());
-            planner.source(idx)
+            (planner.source(idx), planner.stored_digest(idx))
         })
         .collect();
     let (results, stats) = planner.run()?;
@@ -938,7 +1089,7 @@ fn run_cached(
         .iter()
         .zip(&results)
         .zip(&sources)
-        .filter(|&((_, result), source)| *source == CellSource::Simulation && result.is_ok())
+        .filter(|&((_, result), (source, _))| *source == CellSource::Simulation && result.is_ok())
         .map(|((spec, result), _)| {
             let metrics = &result.as_ref().expect("filtered Ok").metrics;
             let rps = metrics.rounds.saturating_mul(1_000_000) / metrics.elapsed_micros.max(1);
@@ -948,17 +1099,9 @@ fn run_cached(
     let cells = results
         .into_iter()
         .zip(sources)
-        .map(|(result, source)| match result {
-            Ok(outcome) => CellResult {
-                cached: source == CellSource::Store,
-                outcome: Some(outcome),
-                error: None,
-            },
-            Err(e) => CellResult {
-                cached: false,
-                outcome: None,
-                error: Some(e.to_string()),
-            },
+        .map(|(result, (_, stored))| match stored {
+            Some(digest) => KeptCell::Stored(digest),
+            None => KeptCell::computed(result),
         })
         .collect();
     Ok((cells, stats, observations))
@@ -968,11 +1111,7 @@ fn run_cached(
 /// Infallible by construction — per-cell scenario errors stay per-cell —
 /// so a daemon whose store is gone can still never fail a batch for
 /// store reasons.
-fn run_compute_only(
-    graph: &Arc<PortGraph>,
-    request: &BatchRequest,
-    request_id: &str,
-) -> (Vec<CellResult>, CacheStats, Vec<(String, u64)>) {
+fn run_compute_only(graph: &Arc<PortGraph>, request: &BatchRequest, request_id: &str) -> BatchRun {
     let mut planner = BatchPlanner::new();
     planner.tag("req", request_id.to_string());
     for spec in &request.specs {
@@ -989,28 +1128,20 @@ fn run_compute_only(
         .specs
         .iter()
         .zip(results)
-        .map(|(spec, result)| match result {
-            Ok(outcome) => {
-                stats.misses += 1;
-                stats.rounds_simulated += outcome.metrics.rounds - outcome.metrics.rounds_skipped;
-                stats.elapsed_simulated_micros += outcome.metrics.elapsed_micros;
-                let rps = outcome.metrics.rounds.saturating_mul(1_000_000)
-                    / outcome.metrics.elapsed_micros.max(1);
-                observations.push((spec.algo.row().name().to_string(), rps));
-                CellResult {
-                    cached: false,
-                    outcome: Some(outcome),
-                    error: None,
+        .map(|(spec, result)| {
+            match &result {
+                Ok(outcome) => {
+                    stats.misses += 1;
+                    stats.rounds_simulated +=
+                        outcome.metrics.rounds - outcome.metrics.rounds_skipped;
+                    stats.elapsed_simulated_micros += outcome.metrics.elapsed_micros;
+                    let rps = outcome.metrics.rounds.saturating_mul(1_000_000)
+                        / outcome.metrics.elapsed_micros.max(1);
+                    observations.push((spec.algo.row().name().to_string(), rps));
                 }
+                Err(_) => stats.errors += 1,
             }
-            Err(e) => {
-                stats.errors += 1;
-                CellResult {
-                    cached: false,
-                    outcome: None,
-                    error: Some(e.to_string()),
-                }
-            }
+            KeptCell::computed(result)
         })
         .collect();
     (cells, stats, observations)
@@ -1198,4 +1329,44 @@ fn render_metrics(state: &Arc<State>) -> String {
         );
     }
     text.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn get(target: &str) -> http::Request {
+        let (path, query) = target.split_once('?').unwrap_or((target, ""));
+        http::Request {
+            method: "GET".into(),
+            path: path.into(),
+            query: query.into(),
+            body: String::new(),
+        }
+    }
+
+    #[test]
+    fn hold_is_parsed_and_clamped() {
+        let defaults = http::Deadlines::default();
+        let hold = |target: &str| hold_for(&get(target), defaults);
+        assert_eq!(hold("/batches/1"), Ok(Duration::ZERO));
+        assert_eq!(hold("/batches/1?wait_ms=0"), Ok(Duration::ZERO));
+        assert_eq!(
+            hold("/batches/1?x=1&wait_ms=250"),
+            Ok(Duration::from_millis(250))
+        );
+        assert_eq!(hold("/batches/1?wait_ms=99999999999"), Ok(http::IO_TIMEOUT));
+        for bad in ["abc", "", "-5", "1.5"] {
+            assert!(
+                hold(&format!("/batches/1?wait_ms={bad}")).is_err(),
+                "{bad:?}"
+            );
+        }
+        // The daemon's own total deadline clamps below IO_TIMEOUT.
+        let tight = http::Deadlines::uniform(Duration::from_millis(300));
+        assert_eq!(
+            hold_for(&get("/batches/1?wait_ms=5000"), tight),
+            Ok(Duration::from_millis(300))
+        );
+    }
 }

@@ -105,23 +105,36 @@ impl Clock {
         }
     }
 
-    /// Arm the socket for the next read: the per-read deadline, clipped
-    /// so the read can never outlive the total one. Errors with the typed
-    /// timeout once the total deadline has passed.
-    fn arm(&self, stream: &TcpStream) -> Result<(), ServiceError> {
+    /// The typed error of the total deadline passing.
+    fn expired(&self) -> ServiceError {
+        ServiceError::Timeout {
+            what: "request",
+            after: self.total,
+        }
+    }
+
+    /// One read under the per-read deadline, clipped so the read can never
+    /// outlive the total one. A read that times out on the clipped
+    /// deadline reports the total deadline, as does one attempted after
+    /// it has passed.
+    fn read(&self, stream: &mut TcpStream, buf: &mut [u8]) -> Result<usize, ServiceError> {
         let remaining = self
             .deadline
             .checked_duration_since(Instant::now())
             .filter(|r| !r.is_zero())
-            .ok_or(ServiceError::Timeout {
-                what: "request",
-                after: self.total,
-            })?;
+            .ok_or_else(|| self.expired())?;
+        let clipped = remaining < self.per_read;
         // `set_read_timeout` rejects zero; a floor of 1ms can overshoot
         // the total deadline by at most that much.
         let next = self.per_read.min(remaining).max(Duration::from_millis(1));
         stream.set_read_timeout(Some(next))?;
-        Ok(())
+        stream.read(buf).map_err(|e| {
+            if clipped && is_timeout(&e) {
+                self.expired()
+            } else {
+                read_err(e, self.per_read)
+            }
+        })
     }
 }
 
@@ -132,6 +145,8 @@ pub struct Request {
     pub method: String,
     /// Path with any query string stripped.
     pub path: String,
+    /// The raw query string after `?` (empty when there is none).
+    pub query: String,
     /// Raw body (empty when no `Content-Length`).
     pub body: String,
 }
@@ -162,7 +177,7 @@ pub fn read_request_with(
     let target = parts
         .next()
         .ok_or_else(|| ServiceError::Protocol("missing request target".into()))?;
-    let path = target.split('?').next().unwrap_or(target).to_string();
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
 
     let mut content_length = 0usize;
     for line in lines {
@@ -181,11 +196,8 @@ pub fn read_request_with(
         )));
     }
     while rest.len() < content_length {
-        clock.arm(stream)?;
         let mut buf = [0u8; 8192];
-        let got = stream
-            .read(&mut buf)
-            .map_err(|e| read_err(e, deadlines.read))?;
+        let got = clock.read(stream, &mut buf)?;
         if got == 0 {
             return Err(ServiceError::Protocol("connection closed mid-body".into()));
         }
@@ -194,7 +206,24 @@ pub fn read_request_with(
     rest.truncate(content_length);
     let body =
         String::from_utf8(rest).map_err(|_| ServiceError::Protocol("body is not UTF-8".into()))?;
-    Ok(Request { method, path, body })
+    Ok(Request {
+        method,
+        path: path.to_string(),
+        query: query.to_string(),
+        body,
+    })
+}
+
+impl Request {
+    /// The value of query parameter `name` (the first occurrence), or
+    /// `None` when the query does not carry it. Values are taken verbatim:
+    /// this API's parameters are plain integers, so no percent-decoding.
+    pub fn query_param(&self, name: &str) -> Option<&str> {
+        self.query
+            .split('&')
+            .filter_map(|pair| pair.split_once('='))
+            .find_map(|(key, value)| (key == name).then_some(value))
+    }
 }
 
 /// Read until the `\r\n\r\n` header terminator; returns (header block
@@ -213,11 +242,8 @@ fn read_until_blank_line(
         if buf.len() > MAX_MESSAGE {
             return Err(ServiceError::Protocol("header block too large".into()));
         }
-        clock.arm(stream)?;
         let mut chunk = [0u8; 8192];
-        let got = stream
-            .read(&mut chunk)
-            .map_err(|e| read_err(e, clock.per_read))?;
+        let got = clock.read(stream, &mut chunk)?;
         if got == 0 {
             return Err(ServiceError::Protocol(
                 "connection closed before headers ended".into(),
@@ -351,9 +377,13 @@ mod tests {
             let req = read_request(&mut stream).unwrap();
             assert_eq!(req.method, "POST");
             assert_eq!(req.path, "/echo");
+            assert_eq!(req.query, "q=1&wait_ms=250");
+            assert_eq!(req.query_param("wait_ms"), Some("250"));
+            assert_eq!(req.query_param("absent"), None);
             respond(&mut stream, 200, &req.body).unwrap();
         });
-        let (status, body) = call(addr, "POST", "/echo?q=1", Some("{\"x\":1}")).unwrap();
+        let (status, body) =
+            call(addr, "POST", "/echo?q=1&wait_ms=250", Some("{\"x\":1}")).unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, "{\"x\":1}");
         server.join().unwrap();
@@ -367,6 +397,7 @@ mod tests {
             let (mut stream, _) = listener.accept().unwrap();
             let req = read_request(&mut stream).unwrap();
             assert_eq!((req.method.as_str(), req.body.as_str()), ("GET", ""));
+            assert_eq!((req.query.as_str(), req.query_param("q")), ("", None));
             respond(&mut stream, 404, "{\"error\":\"nope\"}").unwrap();
         });
         let (status, body) = call(addr, "GET", "/missing", None).unwrap();

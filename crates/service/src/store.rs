@@ -683,6 +683,18 @@ impl ResultStore {
         }
     }
 
+    /// The stored outcome for `digest`, without counting a hit or a miss:
+    /// a re-read of an outcome already served, not a cache lookup. The
+    /// index is append-only, so an outcome once served stays readable.
+    pub fn peek(&self, digest: &SpecDigest) -> Option<Outcome> {
+        self.inner
+            .lock()
+            .expect("store lock")
+            .index
+            .get(digest)
+            .cloned()
+    }
+
     /// Persist `outcome` under `digest`, appending one chain-linked
     /// journal line and flushing it. Idempotent: re-putting an existing
     /// digest is a no-op (returns `false`) — first write wins, matching
