@@ -59,12 +59,13 @@ fn main() {
     for sweep in table1_sweeps() {
         let ns = if quick { sweep.quick_ns } else { sweep.ns };
         let t0 = Instant::now();
-        let cells = sweep_n(
+        let (cells, _) = sweep_n(
             sweep.algo,
             ns,
             |n| sweep.algo.tolerance(n),
             sweep.adversary,
             reps,
+            None,
         );
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         let rounds: u64 = cells.iter().map(|c| c.rounds).sum();

@@ -38,7 +38,7 @@
 use bd_chaos::{Chaos, FaultPlan, SocketFault};
 use bd_dispersion::canon::SpecDigest;
 use bd_dispersion::runner::{Algorithm, Outcome, ScenarioSpec};
-use bd_dispersion::BatchPlanner;
+use bd_dispersion::Session;
 use bd_service::protocol::BatchRequest;
 use bd_service::{
     Client, ClientConfig, Daemon, GraphSource, ResultStore, ServeConfig, ServiceError, StoreKey,
@@ -48,7 +48,6 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One cheap real `(spec, outcome)` pair, simulated once and reused for
@@ -62,13 +61,10 @@ struct Seed {
 
 impl Seed {
     fn grow() -> Seed {
-        let graph = Arc::new(bd_graphs::generators::asymmetric_gnp(8, 1000).expect("bench graph"));
+        let graph = bd_graphs::generators::asymmetric_gnp(8, 1000).expect("bench graph");
         let spec = ScenarioSpec::gathered(Algorithm::GatheredThirdTh4, &graph, 0).with_seed(1);
-        let mut planner = BatchPlanner::new();
-        planner.add(&graph, spec.clone());
-        let outcome = planner
-            .run()
-            .remove(0)
+        let outcome = Session::new(graph)
+            .run(&spec)
             .expect("seed cell simulates cleanly");
         Seed { spec, outcome }
     }

@@ -170,12 +170,12 @@ fn overhead_check() -> ! {
     // Untimed warm-up batch: the first batch of the process pays one-time
     // costs (page faults, allocator warm-up) that would otherwise skew
     // whichever side runs first.
-    let _ = table1_batch(true, 1);
+    let _ = table1_batch(true, 1, None);
     let mut best = [u64::MAX; 2];
     for i in 0..2 * ITERS {
         let enabled = i % 2 == 1;
         bd_telemetry::enable_counters(enabled);
-        let rows = table1_batch(true, 1);
+        let (rows, _) = table1_batch(true, 1, None);
         let _ = drain_engine_reports();
         let engine_micros: u64 = rows.iter().flatten().map(|c| c.elapsed_micros).sum();
         best[usize::from(enabled)] = best[usize::from(enabled)].min(engine_micros);

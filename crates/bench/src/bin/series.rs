@@ -7,7 +7,7 @@
 //!   kind for the Theorem 3 pipeline;
 //! * **Series D** — the §5 capacity regime: rounds and success per robot
 //!   bin `k ∈ {n/2, n, 2n}` for every DUM-based row, batched on one shared
-//!   graph per row via `Session::run_batch`.
+//!   graph per row.
 //!
 //! With `--store DIR`, every batch reads/writes a content-addressed
 //! [`bd_service::ResultStore`] and the run ends with one
@@ -20,8 +20,8 @@
 //! Usage: `cargo run --release -p bd-bench --bin series [--quick] [--store DIR] [--trace-out FILE] > series.jsonl`
 
 use bd_bench::{
-    mean_elapsed_micros, mean_rounds, mean_rounds_by_k, mean_skipped_rounds, run_series_cells_with,
-    store_from_args, success_rate, sweep_k_with, sweep_n_with, trace_out_from_args, SeriesCoord,
+    mean_elapsed_micros, mean_rounds, mean_rounds_by_k, mean_skipped_rounds, run_series_cells,
+    store_from_args, success_rate, sweep_k, sweep_n, trace_out_from_args, SeriesCoord,
 };
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::{Algorithm, ByzPlacement};
@@ -36,11 +36,6 @@ fn main() {
     let trace = trace_out_from_args("series", &args);
     bd_telemetry::init_from_env();
     let mut totals = CacheStats::default();
-    let mut fold = |stats: Option<CacheStats>| {
-        if let Some(s) = stats {
-            totals.merge(&s);
-        }
-    };
     let reps: u64 = if quick { 2 } else { 5 };
 
     // Series A: rounds vs n.
@@ -87,8 +82,8 @@ fn main() {
         } else {
             ns.to_vec()
         };
-        let (cells, stats) = sweep_n_with(algo, &ns, |n| algo.tolerance(n), kind, reps, store);
-        fold(stats);
+        let (cells, stats) = sweep_n(algo, &ns, |n| algo.tolerance(n), kind, reps, store);
+        totals.merge(&stats);
         let skipped = mean_skipped_rounds(&cells);
         for (n, rounds) in mean_rounds(&cells) {
             let mean_skipped = skipped
@@ -151,8 +146,8 @@ fn main() {
             })
         })
         .collect();
-    let (all_b, stats_b) = run_series_cells_with(&coords, store);
-    fold(stats_b);
+    let (all_b, stats_b) = run_series_cells(&coords, store);
+    totals.merge(&stats_b);
     // Results come back in coords order: `reps` contiguous cells per f bin,
     // f bins contiguous per algorithm.
     let mut offset = 0usize;
@@ -198,8 +193,8 @@ fn main() {
             })
         })
         .collect();
-    let (all_c, stats_c) = run_series_cells_with(&coords, store);
-    fold(stats_c);
+    let (all_c, stats_c) = run_series_cells(&coords, store);
+    totals.merge(&stats_c);
     // Results in coords order: `reps` contiguous cells per adversary kind.
     for (i, kind) in kinds.into_iter().enumerate() {
         let cells = &all_c[i * reps as usize..(i + 1) * reps as usize];
@@ -220,7 +215,7 @@ fn main() {
 
     // Series D: the §5 capacity regime — k ∈ {n/2, n, 2n} bins for every
     // DUM-based row, at the row's (n, k) tolerance, one shared graph per
-    // row (Session::run_batch).
+    // row.
     let n = if quick { 6 } else { 8 };
     let ks = [n / 2, n, 2 * n];
     for (algo, kind) in [
@@ -229,8 +224,8 @@ fn main() {
         (Algorithm::ArbitrarySqrtTh5, AdversaryKind::TokenHijacker),
         (Algorithm::Baseline, AdversaryKind::Squatter),
     ] {
-        let (cells, stats) = sweep_k_with(algo, n, &ks, kind, reps, store);
-        fold(stats);
+        let (cells, stats) = sweep_k(algo, n, &ks, kind, reps, store);
+        totals.merge(&stats);
         for (k, rounds) in mean_rounds_by_k(&cells) {
             let bin = cells.iter().filter(|c| c.k == k);
             let (total, ok) = bin.fold((0usize, 0usize), |(t, s), c| {

@@ -13,13 +13,14 @@
 //!   tolerance bound, a per-adversary ablation, and `k ≠ n` capacity bins.
 //!
 //! All cells run on seeded Erdős–Rényi graphs (view-asymmetric w.h.p., so
-//! every row's precondition holds) and are embarrassingly parallel; sweeps
-//! fan out with Rayon through `Session::run_batch` where cells share a
-//! graph, and plain parallel `Session::run` calls otherwise.
+//! every row's precondition holds) and are embarrassingly parallel. Every
+//! sweep is one [`CachedPlanner`] batch: cost-ordered over the pool, with
+//! graphs shared per `(n, seed)` coordinate, and backed by a
+//! [`ResultStore`] only when the bin was given `--store DIR`.
 
 use bd_dispersion::adversaries::AdversaryKind;
-use bd_dispersion::runner::{Algorithm, ByzPlacement, Outcome, ScenarioSpec};
-use bd_dispersion::{BatchPlanner, DispersionError, Session};
+use bd_dispersion::runner::{Algorithm, ByzPlacement, ScenarioSpec};
+use bd_dispersion::Session;
 use bd_graphs::PortGraph;
 use bd_service::{CacheStats, CachedPlanner, ResultStore};
 use serde::{Deserialize, Serialize};
@@ -128,44 +129,6 @@ pub fn bench_graph(n: usize, seed: u64) -> PortGraph {
     bd_graphs::generators::asymmetric_gnp(n, seed).expect("bench graph")
 }
 
-/// A sweep executor that is either a bare cost-ordered [`BatchPlanner`] or
-/// a store-backed [`CachedPlanner`] — the single switch behind every
-/// sweep's opt-in `--store DIR` path.
-enum AnyPlanner<'s> {
-    Plain(BatchPlanner),
-    Cached(CachedPlanner<'s>),
-}
-
-impl<'s> AnyPlanner<'s> {
-    /// Store-backed when a store is given, bare otherwise.
-    fn new(store: Option<&'s ResultStore>) -> Self {
-        match store {
-            Some(store) => AnyPlanner::Cached(CachedPlanner::new(store)),
-            None => AnyPlanner::Plain(BatchPlanner::new()),
-        }
-    }
-
-    fn add(&mut self, graph: &Arc<PortGraph>, spec: ScenarioSpec) -> usize {
-        match self {
-            AnyPlanner::Plain(p) => p.add(graph, spec),
-            AnyPlanner::Cached(p) => p.add(graph, spec),
-        }
-    }
-
-    /// Run everything; the stats are `Some` exactly on the cached path.
-    /// Store I/O failures panic: a half-written benchmark cache is a
-    /// harness failure, not a measurement.
-    fn run(self) -> (Vec<Result<Outcome, DispersionError>>, Option<CacheStats>) {
-        match self {
-            AnyPlanner::Plain(p) => (p.run(), None),
-            AnyPlanner::Cached(p) => {
-                let (results, stats) = p.run().expect("result store I/O");
-                (results, Some(stats))
-            }
-        }
-    }
-}
-
 /// The start configuration each algorithm is evaluated in (Table 1 column
 /// "Starting Configuration", read from the row registry).
 pub fn starting_config(algo: Algorithm, g: &PortGraph) -> ScenarioSpec {
@@ -233,7 +196,7 @@ impl TraceOut {
 
 /// Memoizes [`bench_graph`] instances as shared `Arc` handles, so sweeps
 /// that revisit a `(n, seed)` coordinate (e.g. success-vs-`f` series that
-/// vary only `f`) reuse one graph — and therefore one [`BatchPlanner`]
+/// vary only `f`) reuse one graph — and therefore one planner
 /// session — instead of regenerating and re-owning it per cell.
 #[derive(Default)]
 pub struct GraphCache(std::collections::BTreeMap<(usize, u64), Arc<PortGraph>>);
@@ -258,7 +221,7 @@ impl GraphCache {
 /// these coordinates, on the cache's shared graph. Returns the spec (for
 /// [`cell_of`] after the batch runs).
 fn queue_cell(
-    planner: &mut AnyPlanner<'_>,
+    planner: &mut CachedPlanner<'_>,
     cache: &mut GraphCache,
     algo: Algorithm,
     n: usize,
@@ -299,15 +262,15 @@ pub fn run_cell(
 ) -> Cell {
     // One-cell batch: the spec construction and the tolerance/overload
     // guard live in `queue_cell` only, shared with every sweep.
-    run_series_cells(&[SeriesCoord {
+    let coord = SeriesCoord {
         algo,
         n,
         f,
         adversary,
         placement,
         seed,
-    }])
-    .remove(0)
+    };
+    run_series_cells(&[coord], None).0.remove(0)
 }
 
 /// Fold one run result into a [`Cell`]. Graph-shape errors (symmetric
@@ -345,31 +308,22 @@ pub fn run_spec_cell(session: &Session, spec: &ScenarioSpec) -> Cell {
     cell_of(spec, session.graph().n(), session.run(spec))
 }
 
-/// Sweep `n` values with `reps` seeds each through the [`BatchPlanner`]:
-/// every cell's graph is a shared handle, and the pool executes cells
+/// Sweep `n` values with `reps` seeds each as one planner batch: every
+/// cell's graph is a shared handle, and the pool executes cells
 /// largest-first (biggest `n` never straggles at the tail of the sweep).
+/// With a [`ResultStore`], stored cells replay without simulating and
+/// fresh cells write back; the [`CacheStats`] account for the batch
+/// either way. Store I/O failures panic: a half-written benchmark cache is
+/// a harness failure, not a measurement.
 pub fn sweep_n(
     algo: Algorithm,
     ns: &[usize],
     f_of_n: impl Fn(usize) -> usize + Sync,
     adversary: AdversaryKind,
     reps: u64,
-) -> Vec<Cell> {
-    sweep_n_with(algo, ns, f_of_n, adversary, reps, None).0
-}
-
-/// [`sweep_n`] with an optional [`ResultStore`]: stored cells replay
-/// without simulating, fresh cells write back. The second element is the
-/// batch's [`CacheStats`] when a store was used.
-pub fn sweep_n_with(
-    algo: Algorithm,
-    ns: &[usize],
-    f_of_n: impl Fn(usize) -> usize + Sync,
-    adversary: AdversaryKind,
-    reps: u64,
     store: Option<&ResultStore>,
-) -> (Vec<Cell>, Option<CacheStats>) {
-    let mut planner = AnyPlanner::new(store);
+) -> (Vec<Cell>, CacheStats) {
+    let mut planner = CachedPlanner::with_store(store);
     let mut cache = GraphCache::new();
     let mut meta: Vec<(ScenarioSpec, usize)> = Vec::new();
     for &n in ns {
@@ -387,7 +341,7 @@ pub fn sweep_n_with(
             meta.push((spec, n));
         }
     }
-    let (results, stats) = planner.run();
+    let (results, stats) = planner.run().expect("result store I/O");
     let cells = results
         .into_iter()
         .zip(meta)
@@ -397,24 +351,21 @@ pub fn sweep_n_with(
 }
 
 /// The whole Table 1 sweep as **one** multi-graph batch: all rows' cells
-/// queued on a single [`BatchPlanner`] (graphs of every size side by side)
-/// and executed largest-cost-first. Returns per-sweep cell vectors in
+/// queued on a single planner (graphs of every size side by side) and
+/// executed largest-cost-first. Returns per-sweep cell vectors in
 /// [`table1_sweeps`] order.
-pub fn table1_batch(quick: bool, reps: u64) -> Vec<Vec<Cell>> {
-    table1_batch_with(quick, reps, None).0
-}
-
-/// [`table1_batch`] with an optional [`ResultStore`]: the opt-in
-/// `table1 --store DIR` path. On a warm store the whole table replays with
-/// **zero rounds simulated** (the stats say so); outcomes are the exact
-/// stored `Outcome`s, so full-mode BASELINES stay byte-identical.
-pub fn table1_batch_with(
+///
+/// With a [`ResultStore`] (the opt-in `table1 --store DIR` path), a warm
+/// store replays the whole table with **zero rounds simulated** (the stats
+/// say so); outcomes are the exact stored `Outcome`s, so full-mode
+/// BASELINES stay byte-identical.
+pub fn table1_batch(
     quick: bool,
     reps: u64,
     store: Option<&ResultStore>,
-) -> (Vec<Vec<Cell>>, Option<CacheStats>) {
+) -> (Vec<Vec<Cell>>, CacheStats) {
     let sweeps = table1_sweeps();
-    let mut planner = AnyPlanner::new(store);
+    let mut planner = CachedPlanner::with_store(store);
     let mut cache = GraphCache::new();
     let mut meta: Vec<(usize, ScenarioSpec, usize)> = Vec::new();
     for (serial, sweep) in sweeps.iter().enumerate() {
@@ -436,7 +387,7 @@ pub fn table1_batch_with(
         }
     }
     let mut rows: Vec<Vec<Cell>> = sweeps.iter().map(|_| Vec::new()).collect();
-    let (results, stats) = planner.run();
+    let (results, stats) = planner.run().expect("result store I/O");
     for (result, (serial, spec, n)) in results.into_iter().zip(meta) {
         rows[serial].push(cell_of(&spec, n, result));
     }
@@ -461,21 +412,16 @@ pub struct SeriesCoord {
     pub seed: u64,
 }
 
-/// Run an arbitrary list of sweep coordinates as one [`BatchPlanner`]
-/// batch: graphs are shared per `(n, seed)` coordinate, cells execute
+/// Run an arbitrary list of sweep coordinates as one planner batch:
+/// graphs are shared per `(n, seed)` coordinate, cells execute
 /// largest-cost-first, and results come back in `coords` order. Equivalent
 /// to mapping [`run_cell`] over `coords`, minus the redundant graph
-/// builds and with deliberate scheduling.
-pub fn run_series_cells(coords: &[SeriesCoord]) -> Vec<Cell> {
-    run_series_cells_with(coords, None).0
-}
-
-/// [`run_series_cells`] with an optional [`ResultStore`].
-pub fn run_series_cells_with(
+/// builds and with deliberate scheduling; `store` as in [`sweep_n`].
+pub fn run_series_cells(
     coords: &[SeriesCoord],
     store: Option<&ResultStore>,
-) -> (Vec<Cell>, Option<CacheStats>) {
-    let mut planner = AnyPlanner::new(store);
+) -> (Vec<Cell>, CacheStats) {
+    let mut planner = CachedPlanner::with_store(store);
     let mut cache = GraphCache::new();
     let mut meta: Vec<(ScenarioSpec, usize)> = Vec::new();
     for c in coords {
@@ -491,7 +437,7 @@ pub fn run_series_cells_with(
         );
         meta.push((spec, c.n));
     }
-    let (results, stats) = planner.run();
+    let (results, stats) = planner.run().expect("result store I/O");
     let cells = results
         .into_iter()
         .zip(meta)
@@ -503,28 +449,17 @@ pub fn run_series_cells_with(
 /// Sweep robot-count bins on one shared graph: for each `k` in `ks`,
 /// `reps` seeded cells of `algo` at the row's `(n, k)` tolerance, all
 /// batched through one planner on one `Arc<PortGraph>`. The §5 capacity
-/// regime (`k ≠ n`) made measurable.
+/// regime (`k ≠ n`) made measurable; `store` as in [`sweep_n`].
 pub fn sweep_k(
     algo: Algorithm,
     n: usize,
     ks: &[usize],
     adversary: AdversaryKind,
     reps: u64,
-) -> Vec<Cell> {
-    sweep_k_with(algo, n, ks, adversary, reps, None).0
-}
-
-/// [`sweep_k`] with an optional [`ResultStore`].
-pub fn sweep_k_with(
-    algo: Algorithm,
-    n: usize,
-    ks: &[usize],
-    adversary: AdversaryKind,
-    reps: u64,
     store: Option<&ResultStore>,
-) -> (Vec<Cell>, Option<CacheStats>) {
+) -> (Vec<Cell>, CacheStats) {
     let graph = Arc::new(bench_graph(n, 1000));
-    let mut planner = AnyPlanner::new(store);
+    let mut planner = CachedPlanner::with_store(store);
     let specs: Vec<ScenarioSpec> = ks
         .iter()
         .flat_map(|&k| {
@@ -541,7 +476,7 @@ pub fn sweep_k_with(
     for spec in &specs {
         planner.add(&graph, spec.clone());
     }
-    let (results, stats) = planner.run();
+    let (results, stats) = planner.run().expect("result store I/O");
     let cells = results
         .into_iter()
         .zip(&specs)
@@ -689,7 +624,9 @@ mod tests {
             &[4, 8, 16],
             AdversaryKind::Squatter,
             2,
-        );
+            None,
+        )
+        .0;
         assert_eq!(cells.len(), 6);
         for k in [4usize, 8, 16] {
             let bin: Vec<_> = cells.iter().filter(|c| c.k == k).collect();

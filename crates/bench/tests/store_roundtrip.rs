@@ -4,7 +4,7 @@
 //! identical table, because cached outcomes are the exact stored
 //! `Outcome`s.
 
-use bd_bench::{sweep_k_with, table1_batch_with};
+use bd_bench::{sweep_k, table1_batch};
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::Algorithm;
 use bd_service::ResultStore;
@@ -21,8 +21,7 @@ fn second_quick_table1_run_simulates_zero_rounds() {
     let dir = tmpdir("table1");
     let store = ResultStore::open(&dir).unwrap();
 
-    let (cold_rows, cold_stats) = table1_batch_with(true, 1, Some(&store));
-    let cold_stats = cold_stats.expect("store path reports stats");
+    let (cold_rows, cold_stats) = table1_batch(true, 1, Some(&store));
     let cells: u64 = cold_rows.iter().map(|r| r.len() as u64).sum();
     assert_eq!(cold_stats.misses, cells, "cold store simulates everything");
     assert_eq!(cold_stats.hits, 0);
@@ -30,8 +29,7 @@ fn second_quick_table1_run_simulates_zero_rounds() {
 
     // Same invocation again — in the same process here; the daemon restart
     // suite proves the journal serves across processes too.
-    let (warm_rows, warm_stats) = table1_batch_with(true, 1, Some(&store));
-    let warm_stats = warm_stats.expect("store path reports stats");
+    let (warm_rows, warm_stats) = table1_batch(true, 1, Some(&store));
     assert_eq!(warm_stats.hits, cells, "warm store serves every cell");
     assert_eq!(warm_stats.misses, 0);
     assert_eq!(
@@ -68,7 +66,7 @@ fn second_quick_table1_run_simulates_zero_rounds() {
 fn sweep_k_round_trips_through_the_store() {
     let dir = tmpdir("sweepk");
     let store = ResultStore::open(&dir).unwrap();
-    let (cold, s1) = sweep_k_with(
+    let (cold, s1) = sweep_k(
         Algorithm::Baseline,
         8,
         &[4, 8, 16],
@@ -76,8 +74,8 @@ fn sweep_k_round_trips_through_the_store() {
         2,
         Some(&store),
     );
-    assert_eq!(s1.unwrap().misses, 6);
-    let (warm, s2) = sweep_k_with(
+    assert_eq!(s1.misses, 6);
+    let (warm, s2) = sweep_k(
         Algorithm::Baseline,
         8,
         &[4, 8, 16],
@@ -85,7 +83,6 @@ fn sweep_k_round_trips_through_the_store() {
         2,
         Some(&store),
     );
-    let s2 = s2.unwrap();
     assert_eq!((s2.hits, s2.misses, s2.rounds_simulated), (6, 0, 0));
     for (a, b) in cold.iter().zip(&warm) {
         assert_eq!(a.rounds, b.rounds);

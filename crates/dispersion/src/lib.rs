@@ -35,53 +35,37 @@
 //!   them, replay them.
 //! * **[`session::Session`]** — one shared `Arc<PortGraph>` plus the
 //!   generic plan → engine → verify pipeline. [`Session::run`] executes one
-//!   spec; [`Session::run_batch`] fans a slice of specs out via Rayon with
-//!   zero per-run graph clones; [`Session::plan`] exposes the precomputed
-//!   [`registry::Plan`] (and thereby the row's exact round budget) without
-//!   running.
-//! * **[`session::BatchPlanner`]** — the multi-graph batch layer above
-//!   sessions: queue specs against heterogeneous graphs, share one session
-//!   per distinct `Arc`, and execute across the Rayon pool **largest
-//!   cost first** (cost = registry round budget × roster size). The bench
-//!   sweeps run on it.
+//!   spec; [`Session::plan`] exposes the precomputed [`registry::Plan`]
+//!   (and thereby the row's exact round budget) without running.
+//! * **[`session::BatchPlanner`]** — the batch layer above sessions: queue
+//!   specs against one or many graphs, share one session per distinct
+//!   graph (zero per-run graph clones), and execute across the Rayon pool
+//!   **largest cost first** (cost = registry round budget × roster size).
+//!   The serving layer's `CachedPlanner` wraps it with digest dedup and an
+//!   optional result store; the bench sweeps and the daemon run on that.
 //!
 //! ```
 //! use bd_dispersion::adversaries::AdversaryKind;
-//! use bd_dispersion::{Algorithm, ScenarioSpec, Session};
+//! use bd_dispersion::{Algorithm, BatchPlanner, ScenarioSpec};
+//! use std::sync::Arc;
 //!
-//! let g = bd_graphs::generators::erdos_renyi_connected(12, 0.3, 7).unwrap();
-//! let session = Session::new(g);
-//! let specs: Vec<ScenarioSpec> = (0..4)
-//!     .map(|seed| {
-//!         ScenarioSpec::gathered(Algorithm::GatheredThirdTh4, session.graph(), 0)
-//!             .with_byzantine(3, AdversaryKind::Squatter)
-//!             .with_seed(seed)
-//!     })
-//!     .collect();
-//! for outcome in session.run_batch(&specs) {
+//! let g = Arc::new(bd_graphs::generators::erdos_renyi_connected(12, 0.3, 7).unwrap());
+//! let mut planner = BatchPlanner::new();
+//! for seed in 0..4 {
+//!     let spec = ScenarioSpec::gathered(Algorithm::GatheredThirdTh4, &g, 0)
+//!         .with_byzantine(3, AdversaryKind::Squatter)
+//!         .with_seed(seed);
+//!     planner.add(&g, spec);
+//! }
+//! for outcome in planner.run() {
 //!     assert!(outcome.unwrap().dispersed);
 //! }
 //! ```
 //!
-//! ### Migrating from the monolithic `run_algorithm`
-//!
-//! The pre-registry entry point survives as a thin shim; new code maps
-//! onto the session layer as follows:
-//!
-//! | Old | New |
-//! |-----|-----|
-//! | `run_algorithm(algo, &g, &spec)` | `Session::new(g).run(&spec)` with `spec.algo` set (constructors now take the algorithm first) |
-//! | `ScenarioSpec::gathered(&g, 0)` | `ScenarioSpec::gathered(algo, &g, 0)` |
-//! | `ScenarioSpec::arbitrary(&g)` | `ScenarioSpec::arbitrary(algo, &g)` |
-//! | `spec.num_robots = k` | `spec.with_robots(k)` |
-//! | `algo.tolerance(n)` | unchanged (delegates to `algo.row().tolerance(n, n)`) |
-//! | loop over `run_algorithm` on one graph | `Session::run_batch(&specs)` |
-//!
-//! Behavior is unchanged at `k = n` (the registry-conformance suite pins
-//! tolerances and exact round budgets); the redesign additionally opens
-//! `k ≠ n` rosters for every DUM-based row — the half/third controllers
-//! now settle through the shared capacity-aware
-//! [`algos::common::SettlePhase`], as sqrt and the baseline already did.
+//! Every DUM-based row runs `k ≠ n` rosters (§5's capacity-`⌈k/n⌉`
+//! regime) by settling through the shared capacity-aware
+//! [`algos::common::SettlePhase`]; the registry-conformance suite pins
+//! tolerances and exact round budgets at `k = n`.
 //!
 //! Shared building blocks: the [`dum`] state machine
 //! (`Dispersion-Using-Map`, §2.2, capacity-generalized for §5's `⌈k/n⌉`
@@ -142,5 +126,5 @@ pub use canon::{graph_digest, scenario_digest, SpecDigest};
 pub use error::DispersionError;
 pub use msg::{DumState, Msg};
 pub use registry::{Plan, StartColumn, StartRequirement, TableRow};
-pub use runner::{run_algorithm, Algorithm, Outcome, ScenarioSpec, StartConfig};
+pub use runner::{Algorithm, Outcome, ScenarioSpec, StartConfig};
 pub use session::{assemble_outcome, build_roster, BatchPlanner, RosterEntry, Session};

@@ -1,19 +1,14 @@
-//! Scenario vocabulary and the legacy entry point.
+//! Scenario vocabulary.
 //!
 //! The types here describe *what* to run: the [`Algorithm`] selector, the
 //! fully serde-able [`ScenarioSpec`] (robots, faults, starts, seed), and
 //! the [`Outcome`] a run produces. *How* a run executes lives in
-//! [`crate::session`] (the generic plan → engine → verify pipeline) and in
-//! the per-row [`crate::registry::TableRow`] descriptors; this module
-//! contains no per-algorithm dispatch.
-//!
-//! [`run_algorithm`] is kept as the legacy one-shot entry point; new code
-//! should construct a [`crate::session::Session`] (see the crate-level
-//! migration note).
+//! [`crate::session`] (the generic plan → engine → verify pipeline, run
+//! through [`crate::session::Session`]) and in the per-row
+//! [`crate::registry::TableRow`] descriptors; this module contains no
+//! per-algorithm dispatch.
 
 use crate::adversaries::AdversaryKind;
-use crate::error::DispersionError;
-use crate::session::Session;
 use crate::verify::VerifyReport;
 use bd_graphs::{NodeId, PortGraph};
 use bd_runtime::RunMetrics;
@@ -96,7 +91,7 @@ pub enum ByzPlacement {
 
 /// Scenario description: the algorithm plus everything that varies between
 /// runs. Fully serde-able, so sweeps can be stored, shipped, and replayed
-/// as data (`Session::run_batch` consumes slices of these).
+/// as data (`BatchPlanner` queues these).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// Which Table 1 row to run.
@@ -221,22 +216,11 @@ pub struct Outcome {
     pub honest: Vec<bool>,
 }
 
-/// Legacy one-shot entry point: run `algo` on `graph` under `spec`.
-///
-/// Equivalent to `Session::new(graph.clone()).run(&spec.with_algorithm(algo))`;
-/// prefer a [`Session`] when running more than one scenario on a graph (it
-/// shares one `Arc<PortGraph>` across the batch).
-pub fn run_algorithm(
-    algo: Algorithm,
-    graph: &PortGraph,
-    spec: &ScenarioSpec,
-) -> Result<Outcome, DispersionError> {
-    Session::new(graph.clone()).run(&spec.clone().with_algorithm(algo))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::DispersionError;
+    use crate::session::Session;
     use bd_graphs::generators::erdos_renyi_connected;
 
     #[test]
@@ -274,21 +258,21 @@ mod tests {
         let g = erdos_renyi_connected(9, 0.4, 1).unwrap();
         let spec = ScenarioSpec::gathered(Algorithm::GatheredThirdTh4, &g, 0)
             .with_byzantine(5, AdversaryKind::Squatter);
-        let err = run_algorithm(Algorithm::GatheredThirdTh4, &g, &spec).unwrap_err();
+        let err = Session::new(g).run(&spec).unwrap_err();
         assert!(matches!(err, DispersionError::ToleranceExceeded { .. }));
     }
 
     #[test]
     fn bad_scenarios_rejected() {
-        let g = erdos_renyi_connected(9, 0.4, 1).unwrap();
-        let spec = ScenarioSpec::gathered(Algorithm::Baseline, &g, 0).with_robots(0);
+        let session = Session::new(erdos_renyi_connected(9, 0.4, 1).unwrap());
+        let spec = ScenarioSpec::gathered(Algorithm::Baseline, session.graph(), 0).with_robots(0);
         assert!(matches!(
-            run_algorithm(Algorithm::Baseline, &g, &spec),
+            session.run(&spec),
             Err(DispersionError::BadScenario(_))
         ));
-        let spec = ScenarioSpec::gathered(Algorithm::Baseline, &g, 42);
+        let spec = ScenarioSpec::gathered(Algorithm::Baseline, session.graph(), 42);
         assert!(matches!(
-            run_algorithm(Algorithm::Baseline, &g, &spec),
+            session.run(&spec),
             Err(DispersionError::BadScenario(_))
         ));
     }

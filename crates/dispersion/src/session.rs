@@ -3,9 +3,9 @@
 //! one shared graph.
 //!
 //! A [`Session`] wraps one `Arc<PortGraph>`. [`Session::run`] executes a
-//! single [`ScenarioSpec`]; [`Session::run_batch`] executes a slice of them
-//! in parallel (Rayon), all sharing the session's graph handle — the
-//! per-run graph clone the old monolithic runner paid is gone.
+//! single [`ScenarioSpec`]; [`BatchPlanner`] executes many of them in
+//! parallel (Rayon), one shared session per distinct graph — no run clones
+//! its graph.
 //!
 //! The pipeline itself is algorithm-agnostic: every per-row fact (tolerance,
 //! start requirement, precondition, round budget, controller construction)
@@ -367,20 +367,6 @@ impl Session {
             out.trace,
         ))
     }
-
-    /// Run a batch of scenarios against this session's graph, fanning the
-    /// cells out with Rayon. Every run shares one `Arc<PortGraph>`; results
-    /// come back in spec order, each cell failing independently.
-    ///
-    /// Single-graph convenience over [`BatchPlanner`], which additionally
-    /// interleaves cells across *different* graphs largest-first.
-    pub fn run_batch(&self, specs: &[ScenarioSpec]) -> Vec<Result<Outcome, DispersionError>> {
-        let mut planner = BatchPlanner::new();
-        for spec in specs {
-            planner.add(self.graph(), spec.clone());
-        }
-        planner.run()
-    }
 }
 
 /// The multi-graph batch layer: queues heterogeneous [`ScenarioSpec`]s
@@ -596,7 +582,11 @@ mod tests {
                     .with_seed(seed)
             })
             .collect();
-        let batch = session.run_batch(&specs);
+        let mut planner = BatchPlanner::new();
+        for spec in &specs {
+            planner.add(session.graph(), spec.clone());
+        }
+        let batch = planner.run();
         assert_eq!(batch.len(), specs.len());
         for (spec, cell) in specs.iter().zip(&batch) {
             let single = session.run(spec).unwrap();
@@ -611,7 +601,10 @@ mod tests {
         let session = Session::new(graph());
         let good = ScenarioSpec::gathered(Algorithm::GatheredThirdTh4, session.graph(), 0);
         let bad = good.clone().with_robots(0);
-        let batch = session.run_batch(&[good, bad]);
+        let mut planner = BatchPlanner::new();
+        planner.add(session.graph(), good);
+        planner.add(session.graph(), bad);
+        let batch = planner.run();
         assert!(batch[0].is_ok());
         assert!(matches!(batch[1], Err(DispersionError::BadScenario(_))));
     }

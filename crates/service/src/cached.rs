@@ -1,7 +1,14 @@
-//! The cache-aware batch layer: [`CachedPlanner`] partitions a submission
-//! into stored and to-run cells, executes only the misses through
-//! `bd_dispersion::BatchPlanner` (cost-ordered, multi-graph), writes the
-//! fresh outcomes back, and returns everything in insertion order.
+//! The one batch-execution path: [`CachedPlanner`] digests every cell,
+//! aliases in-batch duplicates, executes the rest through
+//! `bd_dispersion::BatchPlanner` (cost-ordered, multi-graph), and returns
+//! everything in insertion order.
+//!
+//! The store is optional. With a [`ResultStore`], stored cells are
+//! answered at `add` time and fresh outcomes are written back; without one
+//! ([`CachedPlanner::with_store`]`(None)` — the bench sweeps' default and
+//! the daemon's degraded mode) nothing is read or written and
+//! [`CachedPlanner::run`] cannot fail. Either way the per-batch
+//! [`CacheStats`] are computed here and nowhere else.
 //!
 //! Digests are computed at the **default engine configuration** — the one
 //! the planner actually executes under (the session derives the per-run
@@ -84,7 +91,8 @@ enum Slot {
     Alias(usize),
 }
 
-/// A [`BatchPlanner`] wrapper that consults a [`ResultStore`] per cell.
+/// A [`BatchPlanner`] wrapper that dedups cells by digest and, when it
+/// has a [`ResultStore`], consults and feeds it per cell.
 ///
 /// ```no_run
 /// use bd_dispersion::runner::{Algorithm, ScenarioSpec};
@@ -100,17 +108,19 @@ enum Slot {
 /// assert_eq!(stats.hits + stats.misses, 1);
 /// ```
 pub struct CachedPlanner<'s> {
-    store: &'s ResultStore,
+    store: Option<&'s ResultStore>,
     planner: BatchPlanner,
     slots: Vec<Slot>,
     /// Digest → slot index of the first cell queued under it, for
     /// in-flight dedup of identical cells within one batch.
     queued: std::collections::HashMap<SpecDigest, usize>,
     /// The last graph's precomputed canonical bytes, keyed by `Arc`
-    /// pointer: serializing the adjacency is the dominant digest cost, so
+    /// identity: serializing the adjacency is the dominant digest cost, so
     /// consecutive cells on one graph (the normal batch shape) pay it
-    /// once. A different `Arc` to equal content just recomputes.
-    graph_canon: Option<(usize, bd_dispersion::canon::GraphCanon)>,
+    /// once. The memo holds the `Arc` itself, so the graph cannot be freed
+    /// and its address reused by a different graph while the key is live.
+    /// A different `Arc` to equal content just recomputes.
+    graph_canon: Option<(Arc<PortGraph>, bd_dispersion::canon::GraphCanon)>,
 }
 
 /// Where one queued cell's result comes from (see
@@ -137,6 +147,13 @@ impl std::fmt::Debug for CachedPlanner<'_> {
 impl<'s> CachedPlanner<'s> {
     /// A planner writing through `store`.
     pub fn new(store: &'s ResultStore) -> Self {
+        Self::with_store(Some(store))
+    }
+
+    /// A planner over an optional store; `None` is the storeless planner
+    /// (in-batch dedup only, no journal reads or writes, infallible
+    /// [`CachedPlanner::run`]).
+    pub fn with_store(store: Option<&'s ResultStore>) -> Self {
         CachedPlanner {
             store,
             planner: BatchPlanner::new(),
@@ -154,9 +171,11 @@ impl<'s> CachedPlanner<'s> {
 
     /// [`Self::digest`] through the memoized per-graph canonical bytes.
     fn digest_memoized(&mut self, graph: &Arc<PortGraph>, spec: &ScenarioSpec) -> SpecDigest {
-        let key = Arc::as_ptr(graph) as usize;
-        if self.graph_canon.as_ref().map(|(k, _)| *k) != Some(key) {
-            self.graph_canon = Some((key, bd_dispersion::canon::GraphCanon::new(graph)));
+        if !matches!(&self.graph_canon, Some((memo, _)) if Arc::ptr_eq(memo, graph)) {
+            self.graph_canon = Some((
+                Arc::clone(graph),
+                bd_dispersion::canon::GraphCanon::new(graph),
+            ));
         }
         let (_, canon) = self.graph_canon.as_ref().expect("memoized above");
         bd_dispersion::canon::scenario_digest_with(canon, spec, &EngineConfig::default())
@@ -172,7 +191,7 @@ impl<'s> CachedPlanner<'s> {
         let slot = if let Some(&first) = self.queued.get(&digest) {
             Slot::Alias(first)
         } else {
-            match self.store.get(&digest) {
+            match self.store.and_then(|store| store.get(&digest)) {
                 Some(outcome) => Slot::Hit(digest, Box::new(outcome)),
                 None => {
                     self.queued.insert(digest, self.slots.len());
@@ -235,9 +254,9 @@ impl<'s> CachedPlanner<'s> {
     /// [`BatchPlanner`]), persist their outcomes, and return every cell in
     /// insertion order together with the batch's [`CacheStats`].
     ///
-    /// The only error surfaced at this level is a store-write failure;
-    /// per-cell scenario errors stay inside the result vector, matching
-    /// `BatchPlanner::run`.
+    /// The only error surfaced at this level is a store-write failure, so
+    /// a storeless planner never fails; per-cell scenario errors stay
+    /// inside the result vector, matching `BatchPlanner::run`.
     pub fn run(self) -> Result<(Vec<Result<Outcome, DispersionError>>, CacheStats), ServiceError> {
         let simulate_started = std::time::Instant::now();
         let mut executed: Vec<Option<Result<Outcome, DispersionError>>> =
@@ -271,9 +290,12 @@ impl<'s> CachedPlanner<'s> {
                             stats.rounds_simulated +=
                                 outcome.metrics.rounds - outcome.metrics.rounds_skipped;
                             stats.elapsed_simulated_micros += outcome.metrics.elapsed_micros;
-                            let write_started = std::time::Instant::now();
-                            self.store.put(digest, &spec, outcome)?;
-                            stats.store_write_micros += write_started.elapsed().as_micros() as u64;
+                            if let Some(store) = self.store {
+                                let write_started = std::time::Instant::now();
+                                store.put(digest, &spec, outcome)?;
+                                stats.store_write_micros +=
+                                    write_started.elapsed().as_micros() as u64;
+                            }
                         }
                         Err(_) => stats.errors += 1,
                     }
@@ -400,6 +422,74 @@ mod tests {
         let mut again = CachedPlanner::new(&store);
         again.add(&graph, bad);
         assert_eq!(again.pending_misses(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn storeless_planner_dedups_and_matches_the_store_backed_path() {
+        let dir = tmpdir("storeless");
+        let store = ResultStore::open(&dir).unwrap();
+        let graph = Arc::new(asymmetric_gnp(9, 1000).unwrap());
+        let spec = ScenarioSpec::gathered(Algorithm::GatheredThirdTh4, &graph, 0)
+            .with_byzantine(1, AdversaryKind::Squatter)
+            .with_seed(5);
+        let cells = [spec.clone(), spec.clone(), spec.with_seed(6)];
+        let run = |store: Option<&ResultStore>| {
+            let mut planner = CachedPlanner::with_store(store);
+            for cell in &cells {
+                planner.add(&graph, cell.clone());
+            }
+            assert_eq!(planner.source(1), CellSource::Dedup);
+            planner.run().unwrap()
+        };
+        let (bare, bare_stats) = run(None);
+        assert!(store.is_empty(), "a storeless planner never writes");
+        let (backed, backed_stats) = run(Some(&store));
+        assert_eq!(store.len(), 2);
+        for stats in [bare_stats, backed_stats] {
+            assert_eq!((stats.hits, stats.misses, stats.deduped), (0, 2, 1));
+        }
+        assert_eq!(bare_stats.store_write_micros, 0);
+        for (a, b) in bare.iter().zip(&backed) {
+            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+            assert_eq!(a.final_positions, b.final_positions);
+            assert_eq!(a.rounds, b.rounds);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Once graph A's last caller handle is dropped, the allocator may
+    /// place a different graph B at A's address. A digest memo keyed on
+    /// the address alone would then digest B with A's bytes: a store hit
+    /// carrying A's outcome, or on a miss B's outcome journaled under A's
+    /// digest.
+    #[test]
+    fn digest_memo_never_confuses_a_dropped_graph_with_its_successor() {
+        let dir = tmpdir("memo");
+        let store = ResultStore::open(&dir).unwrap();
+        let graph_a = asymmetric_gnp(9, 1000).unwrap();
+        let graph_b = asymmetric_gnp(9, 2000).unwrap();
+        assert_ne!(graph_a, graph_b);
+        let spec = ScenarioSpec::gathered(Algorithm::Baseline, &graph_a, 0).with_seed(1);
+        let mut cold = CachedPlanner::new(&store);
+        cold.add(&Arc::new(graph_a.clone()), spec.clone());
+        cold.run().unwrap();
+        for trial in 0..200 {
+            let mut planner = CachedPlanner::new(&store);
+            let a = Arc::new(graph_a.clone());
+            let hit = planner.add(&a, spec.clone());
+            assert_eq!(planner.source(hit), CellSource::Store);
+            let prebuilt_b = graph_b.clone();
+            drop(a);
+            let b = Arc::new(prebuilt_b);
+            let idx = planner.add(&b, spec.clone());
+            assert_eq!(
+                planner.source(idx),
+                CellSource::Simulation,
+                "trial {trial}: graph B answered with graph A's stored outcome"
+            );
+            assert_eq!(planner.stored_digest(idx), None, "trial {trial}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -42,10 +42,12 @@
 //! availability liability the compute path does not share, so it is never
 //! allowed to take the daemon down. If the journal fails verification at
 //! startup, or a write to it fails at runtime, the daemon flips to
-//! **degraded compute-only mode**: batches still simulate (nothing is
-//! cached or persisted, every cell reports `cached: false`), `/healthz`
-//! and `/stats` carry `degraded: true`, and `/metrics` exposes
-//! `bd_degraded` / `bd_store_available`. Degradation is one-way for the
+//! **degraded compute-only mode**: batches run through the same
+//! [`CachedPlanner`] with no store, so they still simulate (nothing is
+//! cached or persisted, every cell reports `cached: false`, and in-batch
+//! duplicates still simulate once), `/healthz` and `/stats` carry
+//! `degraded: true`, and `/metrics` exposes `bd_degraded` /
+//! `bd_store_available`. Degradation is one-way for the
 //! process — a journal that failed once is evidence, and only an operator
 //! (restart after repair) should clear it.
 //!
@@ -76,7 +78,7 @@ use crate::store::{ResultStore, StoreOptions};
 use bd_chaos::{Chaos, WorkerFault};
 use bd_dispersion::canon::{Fnv64, SpecDigest};
 use bd_dispersion::runner::Outcome;
-use bd_dispersion::{BatchPlanner, DispersionError};
+use bd_dispersion::DispersionError;
 use bd_graphs::PortGraph;
 use bd_telemetry::log as tlog;
 use bd_telemetry::prom::{self, Histogram, PromText};
@@ -1040,33 +1042,28 @@ fn run_request(
     request_id: &str,
 ) -> Result<BatchRun, ServiceError> {
     let graph = graph_for(state, &request.graph)?;
-    if let Some(store) = state.healthy_store() {
-        match run_cached(store, &graph, request, request_id) {
-            Ok(done) => return Ok(done),
-            Err(e) => {
-                // The only error `CachedPlanner::run` surfaces is a
-                // store-write failure: degrade and fall through — the
-                // batch (and every later one) is answered compute-only
-                // rather than failed. Re-running the whole batch after a
-                // mid-batch write failure re-simulates cells the store
-                // already answered; a one-time cost, paid exactly once
-                // per process, for never returning a half-persisted
-                // batch.
-                state.degrade(format!("store write path failed: {e}"));
-            }
-        }
-    }
-    Ok(run_compute_only(&graph, request, request_id))
+    run_planned(state.healthy_store(), &graph, request, request_id).or_else(|e| {
+        // The only error `CachedPlanner::run` surfaces is a store-write
+        // failure: degrade and rerun storeless — the batch (and every later
+        // one) is answered compute-only rather than failed. Re-running the
+        // whole batch after a mid-batch write failure re-simulates cells
+        // the store already answered; a one-time cost, paid exactly once
+        // per process, for never returning a half-persisted batch.
+        state.degrade(format!("store write path failed: {e}"));
+        run_planned(None, &graph, request, request_id)
+    })
 }
 
-/// The store-backed path: consult, simulate misses, write back.
-fn run_cached(
-    store: &ResultStore,
+/// Run one batch through a [`CachedPlanner`]: with a store it consults,
+/// simulates the misses and writes back; without one (degraded mode) it
+/// only simulates, and cannot fail.
+fn run_planned(
+    store: Option<&ResultStore>,
     graph: &Arc<PortGraph>,
     request: &BatchRequest,
     request_id: &str,
 ) -> Result<BatchRun, ServiceError> {
-    let mut planner = CachedPlanner::new(store);
+    let mut planner = CachedPlanner::with_store(store);
     planner.tag("req", request_id.to_string());
     // Per-cell provenance comes straight from the planner: only a store
     // hit is `cached` (an in-batch duplicate aliases a simulation of this
@@ -1105,46 +1102,6 @@ fn run_cached(
         })
         .collect();
     Ok((cells, stats, observations))
-}
-
-/// The degraded path: simulate everything, consult and persist nothing.
-/// Infallible by construction — per-cell scenario errors stay per-cell —
-/// so a daemon whose store is gone can still never fail a batch for
-/// store reasons.
-fn run_compute_only(graph: &Arc<PortGraph>, request: &BatchRequest, request_id: &str) -> BatchRun {
-    let mut planner = BatchPlanner::new();
-    planner.tag("req", request_id.to_string());
-    for spec in &request.specs {
-        planner.add(graph, spec.clone());
-    }
-    let simulate_started = Instant::now();
-    let results = planner.run();
-    let mut stats = CacheStats {
-        simulate_wall_micros: simulate_started.elapsed().as_micros() as u64,
-        ..CacheStats::default()
-    };
-    let mut observations = Vec::new();
-    let cells = request
-        .specs
-        .iter()
-        .zip(results)
-        .map(|(spec, result)| {
-            match &result {
-                Ok(outcome) => {
-                    stats.misses += 1;
-                    stats.rounds_simulated +=
-                        outcome.metrics.rounds - outcome.metrics.rounds_skipped;
-                    stats.elapsed_simulated_micros += outcome.metrics.elapsed_micros;
-                    let rps = outcome.metrics.rounds.saturating_mul(1_000_000)
-                        / outcome.metrics.elapsed_micros.max(1);
-                    observations.push((spec.algo.row().name().to_string(), rps));
-                }
-                Err(_) => stats.errors += 1,
-            }
-            KeptCell::computed(result)
-        })
-        .collect();
-    (cells, stats, observations)
 }
 
 /// Render the full Prometheus text exposition for `GET /metrics`. Every

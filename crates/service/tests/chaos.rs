@@ -11,7 +11,8 @@
 //! * **Degraded compute-only mode.** A daemon whose store fails
 //!   verification at startup must come up anyway, say so on `/healthz`,
 //!   `/stats`, and `/metrics`, serve simulations without persistence,
-//!   and refuse `/audit` with `503`.
+//!   and refuse `/audit` with `503`. A store write that fails mid-serve
+//!   degrades the daemon the same way, and the batch still finishes.
 //! * **Deterministic fault injection.** The same `FaultPlan` seed must
 //!   reproduce the same fault sequence byte-for-byte — the property the
 //!   crash drill's "replay a failing cycle by seed" workflow rests on.
@@ -19,7 +20,7 @@
 use bd_chaos::{Chaos, FaultPlan};
 use bd_dispersion::canon::SpecDigest;
 use bd_dispersion::runner::{Algorithm, Outcome, ScenarioSpec};
-use bd_dispersion::BatchPlanner;
+use bd_dispersion::Session;
 use bd_graphs::generators::asymmetric_gnp;
 use bd_service::protocol::BatchRequest;
 use bd_service::{
@@ -27,7 +28,7 @@ use bd_service::{
     StoreOptions,
 };
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -41,11 +42,9 @@ fn tmpdir(tag: &str) -> PathBuf {
 fn cell() -> &'static (ScenarioSpec, Outcome) {
     static CELL: OnceLock<(ScenarioSpec, Outcome)> = OnceLock::new();
     CELL.get_or_init(|| {
-        let graph = Arc::new(asymmetric_gnp(8, 1000).unwrap());
+        let graph = asymmetric_gnp(8, 1000).unwrap();
         let spec = ScenarioSpec::gathered(Algorithm::GatheredThirdTh4, &graph, 0).with_seed(1);
-        let mut planner = BatchPlanner::new();
-        planner.add(&graph, spec.clone());
-        let outcome = planner.run().remove(0).unwrap();
+        let outcome = Session::new(graph).run(&spec).unwrap();
         (spec, outcome)
     })
 }
@@ -334,6 +333,54 @@ fn tampered_store_degrades_the_daemon_instead_of_killing_it() {
         Err(ServiceError::Corrupt { .. } | ServiceError::Tampered { .. }) => {}
         other => panic!("degraded daemon disturbed the evidence: {other:?}"),
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store write that fails *mid-serve* degrades the daemon and reruns
+/// the batch through the same planner with no store: the batch still
+/// finishes, nothing is cached, and in-batch duplicates still simulate
+/// once — the degraded path shares the healthy path's accounting.
+#[test]
+fn mid_serve_write_failure_degrades_and_keeps_dedup() {
+    let dir = tmpdir("midserve");
+    let mut config = ServeConfig::ephemeral(&dir);
+    config.chaos = Chaos::from_plan(FaultPlan {
+        torn_write_one_in: 1,
+        ..FaultPlan::default()
+    });
+    let daemon = Daemon::start(config).unwrap();
+    assert!(!daemon.is_degraded(), "the store opens cleanly");
+    let client = Client::new(daemon.local_addr());
+
+    let graph_src = GraphSource::BenchEr { n: 8, seed: 1000 };
+    let graph = graph_src.materialize().unwrap();
+    let s = ScenarioSpec::gathered(Algorithm::GatheredThirdTh4, &graph, 0).with_seed(7);
+    let s_prime = s.clone().with_seed(8);
+    let request = BatchRequest::new(graph_src, vec![s.clone(), s, s_prime]);
+
+    let accepted = client.submit(&request).unwrap();
+    let reply = client.wait(accepted.id, Duration::from_secs(120)).unwrap();
+    assert_eq!(reply.status, "done", "error: {:?}", reply.error);
+    assert_eq!(reply.cells.len(), 3);
+    for cell in &reply.cells {
+        assert!(!cell.cached);
+        assert!(cell.outcome.is_some());
+    }
+    let stats = reply.stats.expect("a done batch reports its stats");
+    assert!(
+        stats.misses == 2 && stats.deduped == 1,
+        "degraded mode simulates the duplicate once: {stats:?}"
+    );
+    assert!(daemon.is_degraded(), "the torn write degraded the daemon");
+    assert!(client.healthz().unwrap().degraded);
+
+    let accepted = client.submit(&request).unwrap();
+    let reply = client.wait(accepted.id, Duration::from_secs(120)).unwrap();
+    assert_eq!(reply.status, "done", "error: {:?}", reply.error);
+    assert!(reply.cells.iter().all(|cell| !cell.cached));
+
+    client.shutdown().unwrap();
+    daemon.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
