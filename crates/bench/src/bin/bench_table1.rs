@@ -2,8 +2,15 @@
 //!
 //! Times each Table 1 row's full sweep (same cells, seeds, and adversaries
 //! as the `table1` bin) and emits `BENCH_table1.json`: per-row wall-clock
-//! milliseconds, simulated rounds, and rounds-per-second throughput, plus
-//! sweep totals. This is the perf-trajectory baseline the repo regresses
+//! milliseconds, simulated rounds, stepped rounds, and rounds-per-second
+//! throughput, plus sweep totals.
+//!
+//! `rounds_per_sec` divides *simulated* rounds by wall time, and simulated
+//! rounds include the ones fast-forward jumped (idle stretches and route
+//! jumps along precomputed walks). A row whose rounds stop being stepped
+//! therefore shows a higher `rounds_per_sec` without stepping getting any
+//! faster; `stepped_rounds` (`sim_rounds − rounds_skipped`) is the work the
+//! engine actually did, so read the two together. This is the perf-trajectory baseline the repo regresses
 //! against — record before/after numbers whenever a PR touches the engine
 //! hot path.
 //!
@@ -51,9 +58,10 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut total_rounds = 0u64;
+    let mut total_stepped = 0u64;
     println!(
-        "{:<20} {:>12} {:>14} {:>14}",
-        "row", "wall ms", "sim rounds", "rounds/sec"
+        "{:<20} {:>12} {:>14} {:>14} {:>14}",
+        "row", "wall ms", "sim rounds", "stepped", "rounds/sec"
     );
     let sweep_start = Instant::now();
     for sweep in table1_sweeps() {
@@ -69,15 +77,18 @@ fn main() {
         );
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         let rounds: u64 = cells.iter().map(|c| c.rounds).sum();
+        let stepped: u64 = cells.iter().map(|c| c.rounds - c.rounds_skipped).sum();
         let rps = rounds as f64 / (ms / 1e3).max(1e-9);
         println!(
-            "{:<20} {:>12.1} {:>14} {:>14.0}",
+            "{:<20} {:>12.1} {:>14} {:>14} {:>14.0}",
             sweep.algo.row().name(),
             ms,
             rounds,
+            stepped,
             rps
         );
         total_rounds += rounds;
+        total_stepped += stepped;
         rows.push(serde_json::json!({
             "row": sweep.algo.row().name(),
             "adversary": format!("{:?}", sweep.adversary),
@@ -85,15 +96,17 @@ fn main() {
             "reps": reps,
             "wall_ms": ms,
             "sim_rounds": rounds,
+            "stepped_rounds": stepped,
             "rounds_per_sec": rps,
         }));
     }
     let wall_total = sweep_start.elapsed().as_secs_f64() * 1e3;
     println!(
-        "{:<20} {:>12.1} {:>14} {:>14.0}",
+        "{:<20} {:>12.1} {:>14} {:>14} {:>14.0}",
         "TOTAL",
         wall_total,
         total_rounds,
+        total_stepped,
         total_rounds as f64 / (wall_total / 1e3).max(1e-9)
     );
 
@@ -102,6 +115,9 @@ fn main() {
         "rows": rows,
         "total_wall_ms": wall_total,
         "total_sim_rounds": total_rounds,
+        "total_stepped_rounds": total_stepped,
+        "note": "rounds_per_sec counts simulated rounds, including fast-forwarded ones; \
+                 stepped_rounds is what the engine actually stepped",
         "total_rounds_per_sec": total_rounds as f64 / (wall_total / 1e3).max(1e-9),
     });
     std::fs::write(

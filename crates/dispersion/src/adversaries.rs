@@ -58,7 +58,7 @@
 use crate::msg::{DumState, Msg};
 use bd_graphs::canonical::canonical_form;
 use bd_graphs::{CanonicalForm, Port};
-use bd_runtime::{Controller, MoveChoice, Observation, RobotId};
+use bd_runtime::{Controller, MoveChoice, Observation, RobotId, Route};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -138,7 +138,7 @@ pub struct AdversaryController {
     rng: StdRng,
     /// Optional gathering script (so the adversary infiltrates the
     /// gathering in arbitrary-start scenarios).
-    gather_script: VecDeque<Port>,
+    gather_script: Route,
     /// Rounds before this are spent idle (after the gather script).
     active_from: u64,
     /// Honest IDs to impersonate (StrongSpoofer).
@@ -162,7 +162,7 @@ impl AdversaryController {
         kind: AdversaryKind,
         n: usize,
         seed: u64,
-        gather_script: Vec<Port>,
+        gather_script: Route,
         active_from: u64,
         spoof_pool: Vec<RobotId>,
         coalition_index: usize,
@@ -172,7 +172,7 @@ impl AdversaryController {
             kind,
             n: n.max(1),
             rng: StdRng::seed_from_u64(seed ^ id.0),
-            gather_script: gather_script.into(),
+            gather_script,
             active_from,
             spoof_pool,
             coalition_index,
@@ -263,7 +263,7 @@ impl Controller<Msg> for AdversaryController {
 
     fn decide_move(&mut self, obs: &Observation<'_, Msg>) -> MoveChoice {
         self.round_seen = obs.round;
-        if let Some(p) = self.gather_script.pop_front() {
+        if let Some(p) = self.gather_script.pop() {
             return MoveChoice::Move(p);
         }
         if !self.active(obs.round) || obs.degree == 0 || !self.in_burst(obs.round) {
@@ -311,6 +311,17 @@ impl Controller<Msg> for AdversaryController {
         } else {
             Some(self.next_burst_start(next))
         }
+    }
+
+    /// Before activation the gather script is all the adversary does: it
+    /// neither publishes nor draws randomness, so the script is a route.
+    fn route(&self, round: u64) -> &[Port] {
+        self.gather_script.before(round, self.active_from)
+    }
+
+    fn advance_route(&mut self, taken: usize, last_round: u64) {
+        self.gather_script.advance(taken);
+        self.round_seen = last_round;
     }
 }
 
@@ -413,6 +424,18 @@ impl Controller<Msg> for CrashWrapper {
             self.inner.idle_until()
         }
     }
+
+    fn route(&self, round: u64) -> &[Port] {
+        // The crash lands during round `crash_at`: the route stops short.
+        let route = self.inner.route(round);
+        let left = usize::try_from(self.crash_at.saturating_sub(round)).unwrap_or(usize::MAX);
+        &route[..route.len().min(left)]
+    }
+
+    fn advance_route(&mut self, taken: usize, last_round: u64) {
+        self.inner.advance_route(taken, last_round);
+        self.round_seen = last_round;
+    }
 }
 
 #[cfg(test)]
@@ -435,7 +458,7 @@ mod tests {
                 AdversaryKind::StrongSpoofer,
                 8,
                 7,
-                Vec::new(),
+                Route::default(),
                 0,
                 pool.clone(),
                 idx,
@@ -455,7 +478,7 @@ mod tests {
             AdversaryKind::Squatter,
             8,
             7,
-            Vec::new(),
+            Route::default(),
             0,
             vec![RobotId(1)],
             0,
@@ -470,7 +493,7 @@ mod tests {
             AdversaryKind::Wanderer,
             8,
             7,
-            Vec::new(),
+            Route::default(),
             500,
             Vec::new(),
             0,
@@ -485,7 +508,7 @@ mod tests {
             AdversaryKind::Squatter,
             8,
             7,
-            Vec::new(),
+            Route::default(),
             0,
             Vec::new(),
             0,
@@ -501,7 +524,7 @@ mod tests {
             AdversaryKind::Wanderer,
             n,
             7,
-            Vec::new(),
+            Route::default(),
             0,
             Vec::new(),
             0,
@@ -526,7 +549,7 @@ mod tests {
             AdversaryKind::TokenHijacker,
             n,
             7,
-            Vec::new(),
+            Route::default(),
             0,
             Vec::new(),
             0,

@@ -12,8 +12,8 @@ use crate::timeline::dum_budget;
 use crate::token_roles::{AgentDriver, InstructionSpec, TokenFollower, TokenSpec};
 use bd_graphs::canonical::canonical_form;
 use bd_graphs::{CanonicalForm, Port, PortGraph};
-use bd_runtime::{Controller, MoveChoice, Observation, RobotId};
-use std::collections::{BTreeSet, VecDeque};
+use bd_runtime::{Controller, MoveChoice, Observation, RobotId, Route};
+use std::collections::BTreeSet;
 
 /// Sorted, deduplicated roster — the ID snapshot every robot takes of the
 /// gathering ("each robot remembers the IDs of the remaining k − 1 gathered
@@ -366,7 +366,7 @@ pub struct GroupPhaseController<S> {
     id: RobotId,
     n: usize,
     scheme: S,
-    gather_script: VecDeque<Port>,
+    gather_script: Route,
     snapshot_round: u64,
     runs: Vec<GroupRun>,
     settle: SettlePhase,
@@ -380,7 +380,7 @@ impl<S: GroupScheme> GroupPhaseController<S> {
         id: RobotId,
         n: usize,
         scheme: S,
-        gather_script: Vec<Port>,
+        gather_script: Route,
         gather_budget: u64,
     ) -> Self {
         let snapshot_round = if gather_script.is_empty() {
@@ -392,7 +392,7 @@ impl<S: GroupScheme> GroupPhaseController<S> {
             id,
             n,
             scheme,
-            gather_script: gather_script.into(),
+            gather_script,
             snapshot_round,
             runs: Vec::new(),
             settle: SettlePhase::pending(id, n),
@@ -479,7 +479,7 @@ impl<S: GroupScheme> Controller<Msg> for GroupPhaseController<S> {
     fn decide_move(&mut self, obs: &Observation<'_, Msg>) -> MoveChoice {
         self.round_seen = obs.round;
         if obs.round < self.snapshot_round {
-            return match self.gather_script.pop_front() {
+            return match self.gather_script.pop() {
                 Some(p) => MoveChoice::Move(p),
                 None => MoveChoice::Stay,
             };
@@ -505,6 +505,15 @@ impl<S: GroupScheme> Controller<Msg> for GroupPhaseController<S> {
             .iter()
             .find(|r| r.active(self.round_seen))
             .and_then(|r| r.idle_until(self.round_seen))
+    }
+
+    fn route(&self, round: u64) -> &[Port] {
+        self.gather_script.before(round, self.snapshot_round)
+    }
+
+    fn advance_route(&mut self, taken: usize, last_round: u64) {
+        self.gather_script.advance(taken);
+        self.round_seen = last_round;
     }
 }
 

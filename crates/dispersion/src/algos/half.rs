@@ -21,8 +21,7 @@ use crate::timeline::{dum_budget, pair_window_len, t2_work_budget, Timeline};
 use crate::token_roles::{AgentDriver, InstructionSpec, TokenFollower, TokenSpec};
 use bd_graphs::canonical::canonical_form;
 use bd_graphs::{CanonicalForm, Port, PortGraph};
-use bd_runtime::{Controller, MoveChoice, Observation, RobotId};
-use std::collections::VecDeque;
+use bd_runtime::{Controller, MoveChoice, Observation, RobotId, Route};
 
 enum WindowRole {
     Agent(AgentDriver),
@@ -35,7 +34,7 @@ pub struct HalfController {
     id: RobotId,
     n: usize,
     /// Gathering walk (empty for Theorem 3).
-    gather_script: VecDeque<Port>,
+    gather_script: Route,
     /// Round at which gathering ends and the roster snapshot happens.
     snapshot_round: u64,
     /// Set at the snapshot round.
@@ -59,7 +58,7 @@ impl HalfController {
     /// `gather_script` empty means a gathered start (Theorem 3); otherwise
     /// it is the robot's precomputed gathering route and `gather_budget`
     /// the shared phase budget (Theorem 2).
-    pub fn new(id: RobotId, n: usize, gather_script: Vec<Port>, gather_budget: u64) -> Self {
+    pub fn new(id: RobotId, n: usize, gather_script: Route, gather_budget: u64) -> Self {
         let snapshot_round = if gather_script.is_empty() {
             0
         } else {
@@ -68,7 +67,7 @@ impl HalfController {
         HalfController {
             id,
             n,
-            gather_script: gather_script.into(),
+            gather_script,
             snapshot_round,
             schedule: None,
             pairing_start: snapshot_round + 1,
@@ -234,7 +233,7 @@ impl Controller<Msg> for HalfController {
     fn decide_move(&mut self, obs: &Observation<'_, Msg>) -> MoveChoice {
         self.round_seen = obs.round;
         if obs.round < self.snapshot_round {
-            return match self.gather_script.pop_front() {
+            return match self.gather_script.pop() {
                 Some(p) => MoveChoice::Move(p),
                 None => MoveChoice::Stay,
             };
@@ -285,6 +284,15 @@ impl Controller<Msg> for HalfController {
             }
         }
         None
+    }
+
+    fn route(&self, round: u64) -> &[Port] {
+        self.gather_script.before(round, self.snapshot_round)
+    }
+
+    fn advance_route(&mut self, taken: usize, last_round: u64) {
+        self.gather_script.advance(taken);
+        self.round_seen = last_round;
     }
 }
 
@@ -375,7 +383,7 @@ mod tests {
 
     #[test]
     fn boundaries_unset_before_snapshot() {
-        let c = HalfController::new(RobotId(1), 8, Vec::new(), 0);
+        let c = HalfController::new(RobotId(1), 8, Route::default(), 0);
         assert!(!c.terminated());
         assert_eq!(c.subrounds_wanted(0), 1);
         assert!(!c.in_pairing(5));

@@ -18,9 +18,9 @@ use crate::timeline::{dum_budget, Timeline};
 use bd_exploration::walks::{cover_walk_length, SharedWalk};
 use bd_graphs::quotient::quotient_graph;
 use bd_graphs::{NodeId, Port, PortGraph};
-use bd_runtime::{Controller, MoveChoice, Observation, RobotId};
+use bd_runtime::{Controller, MoveChoice, Observation, RobotId, Route};
 use std::any::Any;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Protocol tag for the Theorem 1 `Find-Map` walk.
 const FIND_MAP_TAG: u64 = 0x6d61_7000; // "map"
@@ -28,8 +28,9 @@ const FIND_MAP_TAG: u64 = 0x6d61_7000; // "map"
 /// Per-robot inputs computed by the runner (deterministic, per-robot walk).
 #[derive(Debug, Clone)]
 pub struct QuotientSetup {
-    /// The robot's exploration walk script (`Find-Map`'s round charge).
-    pub walk: Vec<Port>,
+    /// The robot's exploration walk script (`Find-Map`'s round charge),
+    /// shared by every robot with the same start.
+    pub walk: Route,
     /// The map (the quotient graph, isomorphic to the graph by the
     /// Theorem 1 precondition); shared across the n robots the runner
     /// spawns, so setup stays O(1) per robot in the graph size.
@@ -38,10 +39,47 @@ pub struct QuotientSetup {
     pub pos_after_walk: NodeId,
 }
 
+/// Theorem 1's per-run preparation. Only controllers built from the row
+/// walk (Byzantine robots run adversary controllers), and robots that start
+/// on one node walk the identical script, so walks are computed lazily and
+/// once per start.
+struct QuotientPrep {
+    /// The quotient map every robot receives.
+    map: Arc<PortGraph>,
+    /// Quotient class of each graph node.
+    class_of: Vec<NodeId>,
+    /// Each start's setup, filled on first use.
+    by_start: Vec<OnceLock<QuotientSetup>>,
+}
+
+impl QuotientPrep {
+    /// The setup of a robot starting on `start`.
+    fn setup(&self, graph: &PortGraph, start: NodeId) -> QuotientSetup {
+        self.by_start[start]
+            .get_or_init(|| {
+                let len = cover_walk_length(graph.n());
+                let mut walk = SharedWalk::for_size(graph.n(), FIND_MAP_TAG);
+                let mut ports: Vec<Port> = Vec::with_capacity(len as usize);
+                let mut cur = start;
+                for _ in 0..len {
+                    let p = walk.next_port(graph.degree(cur));
+                    ports.push(p);
+                    cur = graph.neighbor(cur, p).0;
+                }
+                QuotientSetup {
+                    walk: Route::from(ports),
+                    map: Arc::clone(&self.map),
+                    pos_after_walk: self.class_of[cur],
+                }
+            })
+            .clone()
+    }
+}
+
 /// Controller for Theorem 1.
 pub struct QuotientController {
     id: RobotId,
-    walk: std::collections::VecDeque<Port>,
+    walk: Route,
     walk_len: u64,
     dum_start: u64,
     dum_end: u64,
@@ -54,10 +92,10 @@ pub struct QuotientController {
 impl QuotientController {
     /// Build the controller; `n` is the graph size.
     pub fn new(id: RobotId, n: usize, setup: QuotientSetup) -> Self {
-        let walk_len = setup.walk.len() as u64;
+        let walk_len = setup.walk.remaining().len() as u64;
         QuotientController {
             id,
-            walk: setup.walk.into(),
+            walk: setup.walk,
             walk_len,
             dum_start: walk_len,
             dum_end: walk_len + dum_budget(n),
@@ -98,7 +136,7 @@ impl Controller<Msg> for QuotientController {
     fn decide_move(&mut self, obs: &Observation<'_, Msg>) -> MoveChoice {
         self.round_seen = obs.round;
         if obs.round < self.walk_len {
-            return match self.walk.pop_front() {
+            return match self.walk.pop() {
                 Some(p) => MoveChoice::Move(p),
                 None => MoveChoice::Stay,
             };
@@ -111,6 +149,15 @@ impl Controller<Msg> for QuotientController {
 
     fn terminated(&self) -> bool {
         self.round_seen + 1 >= self.dum_end
+    }
+
+    fn route(&self, round: u64) -> &[Port] {
+        self.walk.before(round, self.walk_len)
+    }
+
+    fn advance_route(&mut self, taken: usize, last_round: u64) {
+        self.walk.advance(taken);
+        self.round_seen = last_round;
     }
 }
 
@@ -144,11 +191,13 @@ impl TableRow for QuotientRow {
         StartRequirement::Any
     }
 
-    /// Shared setup: the quotient map plus each robot's deterministic
-    /// `Find-Map` walk script and post-walk map position. Theorem 1's
-    /// precondition (quotient isomorphic to the graph) is enforced here
-    /// rather than in `precondition`, so the quotient refinement — the
-    /// row's most expensive setup step — is computed exactly once per run.
+    /// Shared setup: the quotient map, plus each start's deterministic
+    /// `Find-Map` walk script and post-walk map position, computed the
+    /// first time a controller starting there is built (Byzantine robots
+    /// never walk it). Theorem 1's precondition (quotient isomorphic to
+    /// the graph) is enforced here rather than in `precondition`, so the
+    /// quotient refinement — the row's most expensive setup step — is
+    /// computed exactly once per run.
     fn prepare(&self, plan: &Plan) -> Result<Option<Box<dyn Any + Send + Sync>>, DispersionError> {
         let graph = plan.graph.as_ref();
         let q = quotient_graph(graph);
@@ -158,28 +207,11 @@ impl TableRow for QuotientRow {
                 n: graph.n(),
             });
         }
-        let len = cover_walk_length(plan.n);
-        let quotient_map = Arc::new(q.graph.clone());
-        let setups: Vec<QuotientSetup> = plan
-            .starts
-            .iter()
-            .map(|&s| {
-                let mut walk = SharedWalk::for_size(plan.n, FIND_MAP_TAG);
-                let mut ports: Vec<Port> = Vec::with_capacity(len as usize);
-                let mut cur = s;
-                for _ in 0..len {
-                    let p = walk.next_port(graph.degree(cur));
-                    ports.push(p);
-                    cur = graph.neighbor(cur, p).0;
-                }
-                QuotientSetup {
-                    walk: ports,
-                    map: Arc::clone(&quotient_map),
-                    pos_after_walk: q.class_of[cur],
-                }
-            })
-            .collect();
-        Ok(Some(Box::new(setups)))
+        Ok(Some(Box::new(QuotientPrep {
+            map: Arc::new(q.graph),
+            class_of: q.class_of,
+            by_start: (0..graph.n()).map(|_| OnceLock::new()).collect(),
+        })))
     }
 
     /// Adversaries activate once the non-interactive `Find-Map` walk ends.
@@ -199,11 +231,11 @@ impl TableRow for QuotientRow {
     }
 
     fn build_controller(&self, plan: &Plan, i: usize) -> Box<dyn Controller<Msg>> {
-        let setups: &Vec<QuotientSetup> = plan.prep().expect("prepared by QuotientRow::prepare");
+        let prep: &QuotientPrep = plan.prep().expect("prepared by QuotientRow::prepare");
         Box::new(QuotientController::new(
             plan.ids[i],
             plan.n,
-            setups[i].clone(),
+            prep.setup(&plan.graph, plan.starts[i]),
         ))
     }
 }
@@ -211,15 +243,42 @@ impl TableRow for QuotientRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{Algorithm, ScenarioSpec, StartConfig};
+    use crate::Session;
+    use bd_graphs::generators::{asymmetric_gnp, ring};
+
+    #[test]
+    fn memoized_walks_equal_per_robot_walks() {
+        for g in [ring(7).unwrap(), asymmetric_gnp(10, 3).unwrap()] {
+            let session = Session::new(g.clone());
+            let mut spec = ScenarioSpec::evaluation(Algorithm::QuotientTh1, session.graph());
+            // Repeated starts exercise the memo.
+            spec.starts = StartConfig::Explicit((0..g.n()).map(|i| (i * 3) % 4).collect());
+            let plan = session.plan(&spec).unwrap();
+            for i in 0..plan.k {
+                let c = QuotientRow.build_controller(&plan, i);
+                let mut walk = SharedWalk::for_size(g.n(), FIND_MAP_TAG);
+                let mut cur = plan.starts[i];
+                let expected: Vec<Port> = (0..cover_walk_length(g.n()))
+                    .map(|_| {
+                        let p = walk.next_port(g.degree(cur));
+                        cur = g.neighbor(cur, p).0;
+                        p
+                    })
+                    .collect();
+                assert_eq!(c.route(0), &expected[..], "robot {i}");
+            }
+        }
+    }
 
     #[test]
     fn subround_request_tracks_phase() {
-        let map = bd_graphs::generators::ring(5).unwrap();
+        let map = ring(5).unwrap();
         let c = QuotientController::new(
             RobotId(3),
             5,
             QuotientSetup {
-                walk: vec![0, 0],
+                walk: Route::from(vec![0, 0]),
                 map: map.into(),
                 pos_after_walk: 2,
             },

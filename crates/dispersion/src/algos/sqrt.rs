@@ -40,8 +40,8 @@ use crate::algos::sqrt::tokens::{
 use crate::msg::Msg;
 use crate::registry::{Plan, StartRequirement, TableRow};
 use crate::timeline::{dum_budget, group_run_len, t2_work_budget, Timeline};
-use bd_graphs::{CanonicalForm, Port};
-use bd_runtime::{Controller, RobotId};
+use bd_graphs::CanonicalForm;
+use bd_runtime::{Controller, RobotId, Route};
 
 /// Phase names used by [`sqrt_timeline`]; exposed so callers (sessions,
 /// benches, tests) can anchor assertions to boundaries instead of
@@ -148,7 +148,7 @@ impl SqrtController {
         id: RobotId,
         n: usize,
         f_bound: usize,
-        gather_script: Vec<Port>,
+        gather_script: Route,
         gather_budget: u64,
     ) -> Self {
         GroupPhaseController::with_scheme(
@@ -218,7 +218,7 @@ mod tests {
 
     #[test]
     fn plan_unset_before_snapshot() {
-        let c = SqrtController::new(RobotId(1), 16, 2, Vec::new(), 0);
+        let c = SqrtController::new(RobotId(1), 16, 2, Route::default(), 0);
         assert!(!c.terminated());
         assert!(c.scheme().plan().is_none());
         assert_eq!(
@@ -240,7 +240,7 @@ mod tests {
         let n = 16;
         let f = 2;
         let gather_budget = 100;
-        let mut c = SqrtController::new(RobotId(3), n, f, vec![0; 4], gather_budget);
+        let mut c = SqrtController::new(RobotId(3), n, f, Route::from(vec![0; 4]), gather_budget);
         let ids: Vec<RobotId> = (1..=16).map(RobotId).collect();
         c.snapshot(&ids);
         let t = sqrt_timeline(n, 16, f, gather_budget);
@@ -254,7 +254,7 @@ mod tests {
 
     #[test]
     fn five_runs_at_n16_tolerance() {
-        let mut c = SqrtController::new(RobotId(5), 16, 2, Vec::new(), 0);
+        let mut c = SqrtController::new(RobotId(5), 16, 2, Route::default(), 0);
         let ids: Vec<RobotId> = (1..=16).map(RobotId).collect();
         c.snapshot(&ids);
         assert_eq!(c.runs().len(), 5);
@@ -263,7 +263,7 @@ mod tests {
 
     #[test]
     fn capacity_follows_k_over_n() {
-        let mut c = SqrtController::new(RobotId(2), 8, 1, Vec::new(), 0);
+        let mut c = SqrtController::new(RobotId(2), 8, 1, Route::default(), 0);
         let ids: Vec<RobotId> = (1..=16).map(RobotId).collect(); // k = 2n
         c.snapshot(&ids);
         assert_eq!(c.settle().k_seen(), 16);

@@ -24,14 +24,13 @@ use crate::registry::{Plan, StartRequirement, TableRow};
 use crate::timeline::{group_run_len, rank_walk_budget, t2_work_budget, Timeline};
 use bd_graphs::navigate::shortest_path_ports;
 use bd_graphs::Port;
-use bd_runtime::{Controller, MoveChoice, Observation, RobotId};
-use std::collections::VecDeque;
+use bd_runtime::{Controller, MoveChoice, Observation, RobotId, Route};
 
 /// Controller for Theorems 6 (gathered) and 7 (arbitrary start).
 pub struct StrongController {
     id: RobotId,
     n: usize,
-    gather_script: VecDeque<Port>,
+    gather_script: Route,
     snapshot_round: u64,
     /// Snapshot IDs (set at the snapshot round).
     ids: Vec<RobotId>,
@@ -39,14 +38,14 @@ pub struct StrongController {
     walk_start: u64,
     walk_end: u64,
     /// Rank walk to the assigned node, computed when the walk phase starts.
-    walk_path: Option<VecDeque<Port>>,
+    walk_path: Option<Route>,
     round_seen: u64,
 }
 
 impl StrongController {
     /// `gather_script` empty = Theorem 6 (gathered start); otherwise the
     /// robot's gathering route and shared budget (Theorem 7).
-    pub fn new(id: RobotId, n: usize, gather_script: Vec<Port>, gather_budget: u64) -> Self {
+    pub fn new(id: RobotId, n: usize, gather_script: Route, gather_budget: u64) -> Self {
         let snapshot_round = if gather_script.is_empty() {
             0
         } else {
@@ -55,7 +54,7 @@ impl StrongController {
         StrongController {
             id,
             n,
-            gather_script: gather_script.into(),
+            gather_script,
             snapshot_round,
             ids: Vec::new(),
             run: None,
@@ -128,7 +127,7 @@ impl Controller<Msg> for StrongController {
                     shortest_path_ports(&map, 0, rank)
                 })
                 .unwrap_or_default();
-            self.walk_path = Some(path.into());
+            self.walk_path = Some(Route::from(path));
         }
         None
     }
@@ -136,7 +135,7 @@ impl Controller<Msg> for StrongController {
     fn decide_move(&mut self, obs: &Observation<'_, Msg>) -> MoveChoice {
         self.round_seen = obs.round;
         if obs.round < self.snapshot_round {
-            return match self.gather_script.pop_front() {
+            return match self.gather_script.pop() {
                 Some(p) => MoveChoice::Move(p),
                 None => MoveChoice::Stay,
             };
@@ -147,7 +146,7 @@ impl Controller<Msg> for StrongController {
             }
         }
         if obs.round >= self.walk_start && obs.round < self.walk_end {
-            if let Some(p) = self.walk_path.as_mut().and_then(|p| p.pop_front()) {
+            if let Some(p) = self.walk_path.as_mut().and_then(Route::pop) {
                 return MoveChoice::Move(p);
             }
         }
@@ -176,6 +175,27 @@ impl Controller<Msg> for StrongController {
             return Some(self.walk_end.saturating_sub(1));
         }
         None
+    }
+
+    fn route(&self, round: u64) -> &[Port] {
+        if round < self.snapshot_round {
+            return self.gather_script.before(round, self.snapshot_round);
+        }
+        // The rank walk, once the first walk round has computed it. The
+        // phase's last round stays stepped: acting there flips `terminated`.
+        match &self.walk_path {
+            Some(path) if round >= self.walk_start => path.before(round, self.walk_end - 1),
+            _ => &[],
+        }
+    }
+
+    fn advance_route(&mut self, taken: usize, last_round: u64) {
+        if last_round < self.snapshot_round {
+            self.gather_script.advance(taken);
+        } else if let Some(path) = self.walk_path.as_mut() {
+            path.advance(taken);
+        }
+        self.round_seen = last_round;
     }
 }
 
@@ -269,9 +289,9 @@ mod tests {
 
     #[test]
     fn threshold_is_quarter_n() {
-        let c = StrongController::new(RobotId(1), 16, Vec::new(), 0);
+        let c = StrongController::new(RobotId(1), 16, Route::default(), 0);
         assert_eq!(c.threshold(), 4);
-        let c = StrongController::new(RobotId(1), 3, Vec::new(), 0);
+        let c = StrongController::new(RobotId(1), 3, Route::default(), 0);
         assert_eq!(c.threshold(), 1);
     }
 }

@@ -27,8 +27,8 @@ use crate::mapvote::majority_map;
 use crate::msg::Msg;
 use crate::registry::{Plan, StartRequirement, TableRow};
 use crate::timeline::{dum_budget, group_run_len, t2_work_budget, Timeline};
-use bd_graphs::{CanonicalForm, Port};
-use bd_runtime::{Controller, RobotId};
+use bd_graphs::CanonicalForm;
+use bd_runtime::{Controller, RobotId, Route};
 
 /// Which group construction to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +100,7 @@ impl GroupController {
         id: RobotId,
         n: usize,
         scheme: Scheme,
-        gather_script: Vec<Port>,
+        gather_script: Route,
         gather_budget: u64,
     ) -> Self {
         GroupPhaseController::with_scheme(id, n, scheme, gather_script, gather_budget)
@@ -167,14 +167,14 @@ mod tests {
 
     #[test]
     fn runs_unset_before_snapshot() {
-        let c = GroupController::new(RobotId(1), 9, Scheme::Thirds, Vec::new(), 0);
+        let c = GroupController::new(RobotId(1), 9, Scheme::Thirds, Route::default(), 0);
         assert!(!c.terminated());
         assert!(c.runs().is_empty());
     }
 
     #[test]
     fn snapshot_schedules_three_runs_and_settle() {
-        let mut c = GroupController::new(RobotId(1), 9, Scheme::Thirds, Vec::new(), 0);
+        let mut c = GroupController::new(RobotId(1), 9, Scheme::Thirds, Route::default(), 0);
         let ids: Vec<RobotId> = (1..=9).map(RobotId).collect();
         c.snapshot(&ids);
         assert_eq!(c.runs().len(), 3);
@@ -187,7 +187,7 @@ mod tests {
     #[test]
     fn capacity_follows_roster_size() {
         // §5 regime: a 2n roster settles two honest robots per node.
-        let mut c = GroupController::new(RobotId(1), 8, Scheme::Thirds, Vec::new(), 0);
+        let mut c = GroupController::new(RobotId(1), 8, Scheme::Thirds, Route::default(), 0);
         let ids: Vec<RobotId> = (1..=16).map(RobotId).collect();
         c.snapshot(&ids);
         assert_eq!(c.settle().k_seen(), 16);

@@ -24,8 +24,8 @@ use crate::error::DispersionError;
 use crate::msg::Msg;
 use crate::runner::Algorithm;
 use crate::timeline::Timeline;
-use bd_graphs::{NodeId, Port, PortGraph};
-use bd_runtime::{Controller, RobotId};
+use bd_graphs::{NodeId, PortGraph};
+use bd_runtime::{Controller, RobotId, Route};
 use std::any::Any;
 use std::sync::Arc;
 
@@ -85,8 +85,9 @@ pub struct Plan {
     /// Start node per robot.
     pub starts: Vec<NodeId>,
     /// Per-robot gathering routes (rows with
-    /// [`StartRequirement::GathersFirst`] only).
-    pub gather_routes: Option<Vec<Vec<Port>>>,
+    /// [`StartRequirement::GathersFirst`] only); robots with the same start
+    /// share one route's ports.
+    pub gather_routes: Option<Vec<Route>>,
     /// Shared gathering-phase budget (0 when no gathering runs).
     pub gather_budget: u64,
     /// Scenario seed.
@@ -97,7 +98,8 @@ pub struct Plan {
 
 impl Plan {
     /// Robot `i`'s gathering script (empty when the row does not gather).
-    pub fn gather_script(&self, i: usize) -> Vec<Port> {
+    /// Shares the plan's ports: the robot gets only its own cursor.
+    pub fn gather_script(&self, i: usize) -> Route {
         self.gather_routes
             .as_ref()
             .map(|r| r[i].clone())

@@ -17,7 +17,7 @@ use crate::msg::Msg;
 use crate::registry::{Plan, StartRequirement};
 use crate::runner::{ByzPlacement, Outcome, ScenarioSpec, StartConfig};
 use crate::verify::verify_with_capacity;
-use bd_gathering::route::gather_route;
+use bd_gathering::route::gather_routes;
 use bd_graphs::{NodeId, PortGraph};
 use bd_runtime::ids::generate_ids;
 use bd_runtime::{Controller, Engine, EngineConfig, Flavor, RobotId, RunMetrics, Trace};
@@ -219,14 +219,8 @@ impl Session {
         // must get a gathered start.
         let (gather_routes, gather_budget) = match row.start_requirement() {
             StartRequirement::GathersFirst => {
-                let mut routes = Vec::with_capacity(k);
-                let mut budget = 0;
-                for &s in &starts {
-                    let r =
-                        gather_route(graph, s).map_err(|_| DispersionError::GatheringInfeasible)?;
-                    budget = r.budget_rounds;
-                    routes.push(r.ports);
-                }
+                let (routes, budget) = gather_routes(graph, &starts)
+                    .map_err(|_| DispersionError::GatheringInfeasible)?;
                 (Some(routes), budget)
             }
             StartRequirement::Gathered => {

@@ -13,8 +13,9 @@
 //!    *disabled* (every round stepped) yields the identical trajectory:
 //!    same rounds, same final positions, same per-robot move totals. With
 //!    it enabled, adversarial runs must actually skip rounds (the
-//!    `rounds_skipped` metric) on every row with idle phases — the
-//!    regression gate for the adversary idle-horizon contract.
+//!    `rounds_skipped` metric) on every row with idle phases or route
+//!    phases — the regression gate for the adversary idle-horizon contract
+//!    and for route jumps along the precomputed gather and cover walks.
 //! 4. **Oracle equivalence** — the naive reference engine in `bd-oracle`
 //!    reproduces every cell of the matrix trajectory-for-trajectory
 //!    (see `crates/oracle` and VERIFICATION.md for what is compared).
@@ -45,12 +46,12 @@ fn cell(algo: Algorithm, graph: &PortGraph, kind: AdversaryKind, seed: u64) -> S
 }
 
 /// Rows × adversaries of the conformance matrix. The bool is whether the
-/// row has idle phases, i.e. whether adversarial runs are *required* to
-/// fast-forward (Theorem 1's walk + DUM pipeline is never idle, so it is
-/// exempt — every other row must skip).
+/// row has idle or route phases, i.e. whether adversarial runs are
+/// *required* to fast-forward (every row is: Theorem 1's `Find-Map` walk
+/// is a route even though the row is never idle).
 fn matrix() -> Vec<(Algorithm, AdversaryKind, bool)> {
     vec![
-        (Algorithm::QuotientTh1, AdversaryKind::FakeSettler, false),
+        (Algorithm::QuotientTh1, AdversaryKind::FakeSettler, true),
         (Algorithm::ArbitraryHalfTh2, AdversaryKind::Wanderer, true),
         (Algorithm::GatheredHalfTh3, AdversaryKind::Wanderer, true),
         (Algorithm::GatheredHalfTh3, AdversaryKind::Silent, true),
@@ -192,8 +193,9 @@ fn oracle_reproduces_the_conformance_matrix() {
     }
 }
 
-/// Fault-free runs skipped before this PR and must still skip — and their
-/// trajectories must also be fast-forward-invariant.
+/// Fault-free trajectories must be fast-forward-invariant, and the rows
+/// that open with a precomputed walk (Theorem 1's `Find-Map` walk, the
+/// gathering route of Theorems 2, 5 and 7) must jump it.
 #[test]
 fn fault_free_fast_forward_still_exact() {
     let session = Session::new(erdos_renyi_connected(11, 0.35, 6).unwrap());
@@ -210,5 +212,18 @@ fn fault_free_fast_forward_still_exact() {
             fast.metrics.total_moves, slow.metrics.total_moves,
             "{label}"
         );
+        let routed = matches!(
+            algo,
+            Algorithm::QuotientTh1
+                | Algorithm::ArbitraryHalfTh2
+                | Algorithm::ArbitrarySqrtTh5
+                | Algorithm::StrongArbitraryTh7
+        );
+        if routed {
+            assert!(
+                fast.metrics.rounds_skipped > 0,
+                "{label}: the route phase was stepped, not jumped"
+            );
+        }
     }
 }

@@ -66,4 +66,6 @@ pub use dynamic::{
     run_dynamic_oracle, DynamicFuzzFailure, DynamicFuzzReport, DynamicSketch,
 };
 pub use engine::OracleEngine;
-pub use fuzz::{run_fuzz, run_fuzz_with, CaseSketch, FuzzConfig, FuzzFailure, FuzzReport};
+pub use fuzz::{
+    run_fuzz, run_fuzz_with, CaseSketch, FuzzConfig, FuzzFailure, FuzzReport, GraphFamily,
+};

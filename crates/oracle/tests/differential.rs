@@ -9,8 +9,8 @@
 //!    own quick gate.
 //! 2. **Sensitivity** — the harness must have teeth: with the engine's
 //!    fault-injection knob (`ff_overshoot`, which makes fast-forward
-//!    deliberately skip one round too many) the fuzzer is REQUIRED to find
-//!    and minimize a divergence. A harness that cannot catch a known-broken
+//!    deliberately skip one round too many — idle jumps and route jumps
+//!    alike) the fuzzer is REQUIRED to find and minimize a divergence. A harness that cannot catch a known-broken
 //!    engine proves nothing when it reports a clean run.
 //! 3. **Fuzz smoke** — a small random batch stays clean. The deep batch
 //!    (500+ cases) runs in CI's non-blocking fuzz job and via
@@ -20,7 +20,10 @@ use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::{Algorithm, ByzPlacement, ScenarioSpec};
 use bd_dispersion::Session;
 use bd_graphs::generators::{lollipop, ring};
-use bd_oracle::{check_cell, check_cell_tuned, run_fuzz, run_fuzz_with, CellVerdict, FuzzConfig};
+use bd_oracle::{
+    check_cell, check_cell_tuned, run_fuzz, run_fuzz_with, CaseSketch, CellVerdict, FuzzConfig,
+    GraphFamily,
+};
 
 /// The hand-minimized regression from the bug this harness caught during
 /// bring-up: GatheredHalfTh3 on a lollipop, where a fast-forward jump
@@ -94,6 +97,36 @@ fn fuzzer_catches_overshooting_fast_forward() {
         failure.divergence.round().is_some(),
         "divergence must locate a round: {failure}"
     );
+}
+
+/// The teeth test for route jumps: a fault-free Theorem 1 cell has no idle
+/// robot, so its only jump is the route jump along the `Find-Map` walk.
+/// With the overshoot injected that jump lands past the walk's end, the
+/// robots lose their first settle round, and the fuzzer's cell check must
+/// see it; the correct engine must agree with the oracle on the same cell.
+#[test]
+fn fuzzer_catches_overshooting_route_jump() {
+    let sketch = CaseSketch {
+        family: GraphFamily::Ring,
+        n: 7,
+        algo: Algorithm::QuotientTh1,
+        adversary: AdversaryKind::Squatter,
+        k: 7,
+        f: 0,
+        placement: ByzPlacement::Random,
+        overloaded: false,
+        explicit_starts: false,
+        graph_seed: 1,
+        spec_seed: 0xC0FE,
+    };
+    let clean = sketch.check(std::convert::identity);
+    assert!(clean.agreed(), "correct engine: {clean:?}");
+    match sketch.check(|c| c.with_ff_overshoot(1)) {
+        CellVerdict::Diverged(d) => {
+            assert!(d.round().is_some(), "divergence must locate a round: {d}")
+        }
+        v => panic!("an overshooting route jump must diverge, got {v:?}"),
+    }
 }
 
 /// A small clean batch — the smoke version of the acceptance fuzz run.

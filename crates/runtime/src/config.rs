@@ -10,11 +10,12 @@ pub struct EngineConfig {
     /// Record a full event trace (costs memory; off for benchmarks).
     pub record_trace: bool,
     /// Fast-forward over rounds in which every active robot declares
-    /// idleness (see `Controller::idle_until`). On by default; conformance
-    /// tests turn it off to prove skipping changes no trajectory.
+    /// idleness or follows a precomputed route (see `Controller::idle_until`
+    /// and `Controller::route`). On by default; conformance tests turn it
+    /// off to prove skipping changes no trajectory.
     pub fast_forward: bool,
     /// **Fault injection, never a feature:** overshoot every fast-forward
-    /// jump by this many rounds. `0` (the default, and the only value any
+    /// jump (idle skip or route jump) by this many rounds. `0` (the default, and the only value any
     /// production path uses) is the correct engine; any other value
     /// deliberately breaks the skip-target clamp so the differential oracle
     /// harness can prove it catches a broken fast path.

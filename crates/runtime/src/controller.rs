@@ -62,10 +62,11 @@ pub trait Controller<M> {
     /// the engine stops calling this controller until absolute round `r`,
     /// nothing observable changes* — the robot would neither move nor read,
     /// and anything it might have published would go unread (the engine
-    /// only skips rounds in which **every** active robot is idle, so no
-    /// bulletin of a skipped round has a reader). When all active robots
-    /// report idleness the engine jumps the round counter to the earliest
-    /// horizon and records the jump in `RunMetrics::rounds_skipped`.
+    /// only skips rounds in which **every** active robot is idle or on a
+    /// route, so no bulletin of a skipped round has a reader). When all
+    /// active robots report idleness (or a route, see [`Controller::route`])
+    /// the engine jumps the round counter to the earliest horizon and
+    /// records the jump in `RunMetrics::rounds_skipped`.
     ///
     /// Honest controllers derive horizons from their phase timelines
     /// (e.g. "construction finished; next action at the vote round").
@@ -77,6 +78,35 @@ pub trait Controller<M> {
     fn idle_until(&self) -> Option<u64> {
         None
     }
+
+    /// The route contract: the ports this robot will take in rounds
+    /// `round, round + 1, …` (epoch-local, like every controller round),
+    /// one per round, with nothing else happening in those rounds — its
+    /// `act` calls would publish nothing and read nothing, and its
+    /// `decide_move` calls would return exactly these ports. An empty
+    /// slice (the default) makes no promise.
+    ///
+    /// Routes compose with [`Controller::idle_until`]: when every
+    /// non-terminated robot is either on a route or idle, the engine jumps
+    /// to the earliest horizon (a route ends after its last port), applying
+    /// each route's moves itself, and then reports what it consumed through
+    /// [`Controller::advance_route`]. Since no robot reads in a jumped
+    /// round, nothing a skipped call would have observed can matter; moves,
+    /// final positions and the arrival port pair of the last jumped round
+    /// are exact. A robot that reports a route is treated as routed even if
+    /// it also reports an idle horizon, and `terminated` must not change
+    /// while it walks one. Controllers clip the route to the phase it
+    /// belongs to (the gathering walk ends at the snapshot round), which is
+    /// why the round is a parameter ([`crate::Route::before`]).
+    fn route(&self, _round: u64) -> &[Port] {
+        &[]
+    }
+
+    /// The engine walked the first `taken` ports of the route reported by
+    /// [`Controller::route`]; the last of them was taken in (epoch-local)
+    /// `last_round`, the round a stepped robot would have seen last. Called
+    /// only after a jump that consumed at least one port.
+    fn advance_route(&mut self, _taken: usize, _last_round: u64) {}
 }
 
 #[cfg(test)]

@@ -20,6 +20,18 @@
 //! heap allocation**; protocol-level message bodies are the only remaining
 //! allocations and belong to the controllers.
 //!
+//! The cheapest round is one not stepped at all. Before each round,
+//! `Engine::drive` asks every active controller for an idle horizon
+//! ([`Controller::idle_until`]) or a route ([`Controller::route`]: the
+//! ports of a precomputed walk, taken without reading or publishing).
+//! When every one has either, it **jumps** to the earliest horizon:
+//! routed robots walk their ports through [`World::apply_move`] (the moves,
+//! odometers, final positions, the last jumped round's arrival pair and the
+//! `Moved` trace events are those stepping would produce), idle robots
+//! stay, and the arenas are invalidated and rebuilt at the next stepped
+//! round. Theorem 1's `Find-Map` walk and the gathering route of
+//! Theorems 2, 5 and 7 are jumped this way in one go.
+//!
 //! # Dynamic worlds: events and epochs
 //!
 //! A long-lived run is a sequence of **epochs** separated by
@@ -439,58 +451,173 @@ impl<M: Clone> Engine<M> {
                     limit: self.config.max_rounds,
                 });
             }
-            // Fast-forward: if every active robot is provably idle until
-            // some future round, skip to the earliest such round at once.
-            // Skipped rounds are rounds in which *no* robot acts, so no
-            // bulletin is ever read — which is exactly what licenses
-            // controllers to declare idleness (see `Controller::idle_until`).
+            // Fast-forward: if every active robot is provably idle or on a
+            // precomputed route until some future round, jump to the
+            // earliest such round at once. No robot reads in a jumped round,
+            // which is exactly what licenses controllers to declare idleness
+            // or a route (see `Controller::idle_until` / `Controller::route`).
             if self.config.fast_forward {
-                // Idle promises are epoch-local (controllers never see the
-                // absolute clock); shift them by the epoch base before
-                // comparing with `self.round`.
-                let epoch_base = self.epoch_base;
-                let skip_to = self
-                    .controllers
-                    .iter()
-                    .filter(|c| !c.terminated())
-                    .map(|c| c.idle_until())
-                    .try_fold(u64::MAX, |acc, u| {
-                        u.map(|r| acc.min(r.saturating_add(epoch_base)))
-                    });
-                if let Some(target) = skip_to {
-                    // `ff_overshoot` is deliberately-injected breakage (0 in
-                    // every real config): it pushes the jump past the round
-                    // the earliest robot acts in, losing that action — the
-                    // bug class the oracle-differential harness must catch.
-                    let mut target = target.saturating_add(self.config.ff_overshoot);
-                    // Never jump past a scheduled stop: the world mutates
-                    // there, which idle promises know nothing about.
-                    if let Some(stop) = stop_at {
-                        target = target.min(stop);
+                if let Some(target) = self.jump_target(stop_at) {
+                    if target >= self.config.max_rounds {
+                        // The earliest round any robot acts again is
+                        // already past the cap: the run cannot finish.
+                        // Error *now*, leaving `self.round` at the true
+                        // executed round instead of silently teleporting
+                        // it to the cap and failing one iteration later.
+                        return Err(RunError::RoundLimit {
+                            limit: self.config.max_rounds,
+                        });
                     }
-                    if target > self.round + 1 {
-                        if target >= self.config.max_rounds {
-                            // The earliest round any robot acts again is
-                            // already past the cap: the run cannot finish.
-                            // Error *now*, leaving `self.round` at the true
-                            // executed round instead of silently teleporting
-                            // it to the cap and failing one iteration later.
-                            return Err(RunError::RoundLimit {
-                                limit: self.config.max_rounds,
-                            });
-                        }
-                        if let Some(t) = self.telemetry.as_deref_mut() {
-                            t.counters.ff_jumps += 1;
-                            t.counters.rounds_skipped += target - self.round;
-                        }
-                        self.metrics.rounds_skipped += target - self.round;
-                        self.round = target;
-                        continue;
-                    }
+                    self.jump_to(target)?;
+                    continue;
                 }
             }
             self.step()?;
         }
+    }
+
+    /// Where a fast-forward jump from the current round would land, if one
+    /// is licensed: every non-terminated robot is on a route (its horizon is
+    /// the round after its last port) or idle (its horizon is its
+    /// `idle_until`), and the earliest horizon is at least two rounds away.
+    fn jump_target(&self, stop_at: Option<u64>) -> Option<u64> {
+        // Routes and idle promises are epoch-local (controllers never see
+        // the absolute clock); shift them by the epoch base.
+        let epoch_base = self.epoch_base;
+        let local = self.round - epoch_base;
+        let earliest = self
+            .controllers
+            .iter()
+            .filter(|c| !c.terminated())
+            .try_fold(u64::MAX, |acc, c| {
+                let route = c.route(local).len() as u64;
+                let horizon = if route > 0 {
+                    Some(self.round + route)
+                } else {
+                    c.idle_until().map(|r| r.saturating_add(epoch_base))
+                };
+                horizon.map(|h| acc.min(h))
+            })?;
+        // `ff_overshoot` is deliberately-injected breakage (0 in every real
+        // config): it pushes the jump past the round the earliest robot acts
+        // in, losing that action — the bug class the oracle-differential
+        // harness must catch.
+        let mut target = earliest.saturating_add(self.config.ff_overshoot);
+        // Never jump past a scheduled stop: the world mutates there, which
+        // idle promises and routes know nothing about.
+        if let Some(stop) = stop_at {
+            target = target.min(stop);
+        }
+        (target > self.round + 1).then_some(target)
+    }
+
+    /// Jump the clock to `target` (from [`Engine::jump_target`]). Routed
+    /// robots take their ports for the jumped rounds through
+    /// [`World::apply_move`] with the same validation as stepped rounds;
+    /// idle robots stay. Robots never interact during a jump, so each walks
+    /// its whole route in turn (robot-major, the cache-friendly order); the
+    /// trace is then put back into round-major robot order, the order
+    /// stepped rounds record. Occupancy changed behind the arenas' back, so
+    /// they are invalidated and rebuilt at the next stepped round.
+    fn jump_to(&mut self, target: u64) -> Result<(), RunError> {
+        let start = self.round;
+        let span = target - start;
+        let local = start - self.epoch_base;
+        let Engine {
+            world,
+            controllers,
+            config,
+            round,
+            arrivals,
+            metrics,
+            trace,
+            scratch,
+            telemetry,
+            ..
+        } = self;
+        let span_len = usize::try_from(span).unwrap_or(usize::MAX);
+        // A robot that does not move in the jump's last round arrives
+        // nowhere, as after any stepped round in which it stays.
+        arrivals.fill(None);
+        let traced_from = trace.events.len();
+        let mut moved = 0u64;
+        // The earliest invalid honest move in round-major order: the one a
+        // stepped run would have stopped at.
+        let mut invalid: Option<(u64, RunError)> = None;
+        for (i, c) in controllers.iter_mut().enumerate() {
+            if c.terminated() {
+                continue;
+            }
+            // The robot's share of the jump: the prefix of its route that
+            // falls inside the span (empty for idle robots).
+            let route = c.route(local);
+            let route = &route[..route.len().min(span_len)];
+            for (j, &port) in route.iter().enumerate() {
+                let round_now = start + j as u64;
+                let node = world.robot(i).position;
+                let degree = world.graph().degree(node);
+                if port >= degree {
+                    if world.robot(i).flavor == Flavor::Honest {
+                        if invalid.as_ref().map_or(true, |(r, _)| round_now < *r) {
+                            let robot = world.robot(i).id;
+                            let err = RunError::InvalidMove {
+                                robot,
+                                node,
+                                port,
+                                degree,
+                            };
+                            invalid = Some((round_now, err));
+                        }
+                        break;
+                    }
+                    // Byzantine robots cannot teleport; clamp to Stay.
+                    continue;
+                }
+                let (exit_port, entry_port) = world.apply_move(i, port);
+                moved += 1;
+                if round_now + 1 == target {
+                    arrivals[i] = Some(ArrivalInfo {
+                        exit_port,
+                        entry_port,
+                    });
+                }
+                if config.record_trace {
+                    trace.events.push(Event::Moved {
+                        round: round_now,
+                        robot: world.robot(i).id,
+                        from: node,
+                        port,
+                        to: world.robot(i).position,
+                    });
+                }
+            }
+            let taken = route.len();
+            if taken > 0 {
+                c.advance_route(taken, local + taken as u64 - 1);
+            }
+        }
+        // Stable: robots were walked in index order, so within a round the
+        // events stay in robot order.
+        trace.events[traced_from..].sort_by_key(Event::round);
+        if let Some((at, err)) = invalid {
+            // The run ends here, as it would have at that stepped round.
+            *round = at;
+            return Err(err);
+        }
+        if moved > 0 {
+            scratch.ready = false;
+        }
+        if let Some(t) = telemetry.as_deref_mut() {
+            if start >= t.next_mark {
+                t.on_round(start);
+            }
+            t.counters.ff_jumps += 1;
+            t.counters.rounds_skipped += span;
+            t.counters.moves += moved;
+        }
+        metrics.rounds_skipped += span;
+        *round = target;
+        Ok(())
     }
 
     /// Execute rounds until every honest robot terminates or the round cap
@@ -791,8 +918,11 @@ impl<M: Clone> Engine<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bd_graphs::generators::{oriented_ring, ring};
+    use crate::route::Route;
+    use bd_graphs::generators::{lollipop, oriented_ring, ring};
     use bd_graphs::Port;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// Walks a fixed port script, then terminates.
     struct Walker {
@@ -1286,5 +1416,252 @@ mod tests {
         // visible (published in sub-round 0).
         assert!(log.contains(&(0, 0)));
         assert!(log.contains(&(1, 2)));
+    }
+
+    /// What [`RouteWalker`]s observe: `(robot, round, arrival)` in the first
+    /// round after their route.
+    type Arrivals = Rc<RefCell<Vec<(RobotId, u64, Option<ArrivalInfo>)>>>;
+
+    /// Walks `route` from round 0 and promises it to the engine; records
+    /// the arrival it observes in the first round after the route, then
+    /// idles until `end` and terminates there.
+    struct RouteWalker {
+        id: RobotId,
+        route: Route,
+        len: u64,
+        end: u64,
+        round_seen: u64,
+        seen: Arrivals,
+    }
+
+    impl RouteWalker {
+        fn boxed(id: u64, ports: Vec<Port>, end: u64, seen: &Arrivals) -> Box<Self> {
+            Box::new(RouteWalker {
+                id: RobotId(id),
+                len: ports.len() as u64,
+                route: Route::from(ports),
+                end,
+                round_seen: 0,
+                seen: Rc::clone(seen),
+            })
+        }
+    }
+
+    impl Controller<String> for RouteWalker {
+        fn id(&self) -> RobotId {
+            self.id
+        }
+        fn act(&mut self, obs: &Observation<'_, String>) -> Option<String> {
+            self.round_seen = obs.round;
+            if obs.round == self.len && self.len > 0 && obs.subround == 0 {
+                self.seen
+                    .borrow_mut()
+                    .push((self.id, obs.round, obs.arrival));
+            }
+            None
+        }
+        fn decide_move(&mut self, obs: &Observation<'_, String>) -> MoveChoice {
+            self.round_seen = obs.round;
+            self.route.pop().map_or(MoveChoice::Stay, MoveChoice::Move)
+        }
+        fn terminated(&self) -> bool {
+            self.round_seen >= self.end
+        }
+        fn idle_until(&self) -> Option<u64> {
+            (self.round_seen >= self.len).then_some(self.end)
+        }
+        fn route(&self, round: u64) -> &[Port] {
+            self.route.before(round, self.len)
+        }
+        fn advance_route(&mut self, taken: usize, last_round: u64) {
+            self.route.advance(taken);
+            self.round_seen = last_round;
+        }
+    }
+
+    /// A valid `len`-port walk from `start`, varying with `salt`.
+    fn walk(g: &PortGraph, start: NodeId, len: usize, salt: usize) -> Vec<Port> {
+        let mut cur = start;
+        (0..len)
+            .map(|t| {
+                let p = (3 * t + salt) % g.degree(cur);
+                cur = g.neighbor(cur, p).0;
+                p
+            })
+            .collect()
+    }
+
+    /// Everything a route jump must reproduce.
+    #[derive(Debug, PartialEq)]
+    struct Walked {
+        /// `Moved` events, in trace order (empty when untraced).
+        moved: Vec<Event>,
+        positions: Vec<NodeId>,
+        odometers: Vec<u64>,
+        /// What each routed robot saw right after its route.
+        arrivals: Vec<(RobotId, u64, Option<ArrivalInfo>)>,
+    }
+
+    /// Routes of unequal length (two robots share a start and a route
+    /// length) plus one idle robot, all ending at round 15. Returns what
+    /// happened and the rounds skipped.
+    fn run_routes(config: EngineConfig) -> (Walked, u64) {
+        let g = lollipop(4, 3).unwrap();
+        let seen: Arrivals = Rc::default();
+        let mut e: Engine<String> = Engine::new(g.clone(), config);
+        for (id, start, ports) in [
+            (1, 6, walk(&g, 6, 5, 1)),
+            (2, 0, walk(&g, 0, 9, 2)),
+            (3, 0, walk(&g, 0, 9, 0)),
+            (4, 2, Vec::new()),
+        ] {
+            e.add_robot(
+                Flavor::Honest,
+                start,
+                RouteWalker::boxed(id, ports, 15, &seen),
+            );
+        }
+        let out = e.run_epoch(u64::MAX).unwrap();
+        assert!(out.terminated);
+        assert_eq!(out.metrics.rounds, 16);
+        let odometers = e.world().robots().iter().map(|r| r.moves).collect();
+        let moved = e
+            .into_trace()
+            .events
+            .into_iter()
+            .filter(|ev| matches!(ev, Event::Moved { .. }))
+            .collect();
+        let arrivals = seen.borrow().clone();
+        let walked = Walked {
+            moved,
+            positions: out.final_positions,
+            odometers,
+            arrivals,
+        };
+        (walked, out.metrics.rounds_skipped)
+    }
+
+    #[test]
+    fn route_jumps_reproduce_stepped_rounds_exactly() {
+        for base in [EngineConfig::default(), EngineConfig::default().traced()] {
+            let traced = base.record_trace;
+            let (fast, skipped) = run_routes(base.clone());
+            let (slow, slow_skipped) = run_routes(base.without_fast_forward());
+            assert_eq!(fast, slow, "traced={traced}");
+            assert_eq!(fast.odometers, vec![5, 9, 9, 0]);
+            assert_eq!(fast.moved.len(), if traced { 23 } else { 0 });
+            assert_eq!(fast.arrivals.len(), 3);
+            assert!(fast.arrivals.iter().all(|(_, _, a)| a.is_some()));
+            // Jumps: 0→5 (routes), 6→9 (routes beside an idle robot),
+            // 10→15 (all idle); rounds 5, 9 and 15 are stepped.
+            assert_eq!(skipped, 5 + 3 + 5, "traced={traced}");
+            assert_eq!(slow_skipped, 0);
+        }
+    }
+
+    #[test]
+    fn stop_inside_a_route_stops_exactly_there() {
+        let g = lollipop(4, 3).unwrap();
+        let ports = walk(&g, 5, 10, 1);
+        let seen: Arrivals = Rc::default();
+        let mut e: Engine<String> = Engine::new(g.clone(), EngineConfig::default());
+        e.add_robot(
+            Flavor::Honest,
+            5,
+            RouteWalker::boxed(1, ports.clone(), 12, &seen),
+        );
+        let cut = e.run_epoch(4).unwrap();
+        assert!(!cut.terminated);
+        assert_eq!(e.round(), 4);
+        assert_eq!(
+            cut.metrics.rounds_skipped, 4,
+            "one jump, clamped to the stop"
+        );
+        assert_eq!(e.world().robot(0).moves, 4);
+        assert_eq!(
+            cut.final_positions,
+            vec![bd_graphs::navigate::follow_ports(&g, 5, &ports[..4]).unwrap()]
+        );
+        // The rest of the route resumes from the cut.
+        let rest = e.run_epoch(u64::MAX).unwrap();
+        assert!(rest.terminated);
+        assert_eq!(e.world().robot(0).moves, 10);
+        assert_eq!(
+            rest.final_positions,
+            vec![bd_graphs::navigate::follow_ports(&g, 5, &ports).unwrap()]
+        );
+        assert_eq!(seen.borrow().len(), 1);
+    }
+
+    #[test]
+    fn invalid_route_port_fails_like_a_stepped_round() {
+        let g = lollipop(4, 3).unwrap();
+        let run = |config: EngineConfig| {
+            let seen: Arrivals = Rc::default();
+            let mut e: Engine<String> = Engine::new(g.clone(), config);
+            e.add_robot(
+                Flavor::Honest,
+                0,
+                RouteWalker::boxed(1, walk(&g, 0, 8, 1), 10, &seen),
+            );
+            let mut bad = walk(&g, 2, 6, 0);
+            bad[3] = 99;
+            e.add_robot(Flavor::Honest, 2, RouteWalker::boxed(2, bad, 10, &seen));
+            let err = e.run_epoch(u64::MAX).unwrap_err();
+            (err, e.round())
+        };
+        let (fast, fast_round) = run(EngineConfig::default());
+        let (slow, slow_round) = run(EngineConfig::default().without_fast_forward());
+        assert!(matches!(
+            fast,
+            RunError::InvalidMove {
+                robot: RobotId(2),
+                port: 99,
+                ..
+            }
+        ));
+        assert_eq!(fast, slow);
+        assert_eq!((fast_round, slow_round), (3, 3));
+    }
+
+    #[test]
+    fn routed_robot_beside_a_busy_robot_is_stepped() {
+        let g = lollipop(4, 3).unwrap();
+        let ports = walk(&g, 1, 6, 2);
+        let seen: Arrivals = Rc::default();
+        let run = |config: EngineConfig| {
+            let mut e: Engine<String> = Engine::new(g.clone(), config);
+            e.add_robot(
+                Flavor::Honest,
+                1,
+                RouteWalker::boxed(1, ports.clone(), 8, &seen),
+            );
+            // Neither idle nor routed for 12 rounds.
+            e.add_robot(
+                Flavor::Honest,
+                4,
+                Box::new(Walker {
+                    id: RobotId(2),
+                    script: vec![0; 12],
+                    step: 0,
+                }),
+            );
+            e.run().unwrap()
+        };
+        let fast = run(EngineConfig::default());
+        let slow = run(EngineConfig::default().without_fast_forward());
+        assert_eq!(
+            fast.metrics.rounds_skipped, 0,
+            "no jump beside a busy robot"
+        );
+        assert_eq!(fast.final_positions, slow.final_positions);
+        assert_eq!(
+            fast.final_positions[0],
+            bd_graphs::navigate::follow_ports(&g, 1, &ports).unwrap()
+        );
+        assert_eq!(fast.metrics.total_moves, slow.metrics.total_moves);
+        let seen = seen.borrow();
+        assert_eq!(seen.len(), 2);
+        assert_eq!(seen[0], seen[1], "same arrival stepped either way");
     }
 }

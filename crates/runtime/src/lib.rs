@@ -35,19 +35,26 @@
 //! through a touched list. The steady-state round performs **zero heap
 //! allocation**; see the `engine` module docs for the layout.
 //!
-//! ## The idle-fast-forward contract
+//! ## The fast-forward contract: idle horizons and routes
 //!
 //! [`controller::Controller::idle_until`] lets a controller promise that
 //! skipping its `act`/`decide_move` calls until a given round changes
-//! nothing observable. When **every** active robot reports a horizon the
-//! engine jumps straight to the earliest one ([`EngineConfig::fast_forward`]
-//! gates this; [`metrics::RunMetrics::rounds_skipped`] records it). Because
-//! only all-idle rounds are skipped, no skipped round has a bulletin
+//! nothing observable. [`controller::Controller::route`] lets it promise
+//! instead that it will take a fixed sequence of ports, one per round,
+//! without reading or publishing (a [`Route`] is the shared representation
+//! of such a walk). When **every** active robot reports a horizon or a
+//! route the engine jumps straight to the earliest horizon (a route ends
+//! after its last port), applying the routed moves itself and reporting
+//! them back through [`controller::Controller::advance_route`]
+//! ([`EngineConfig::fast_forward`] gates this;
+//! [`metrics::RunMetrics::rounds_skipped`] records it). Because no robot
+//! reads in a jumped round, no jumped round has a bulletin or roster
 //! reader — which is what makes the promise checkable locally: a robot
-//! need only guarantee it would neither move nor read. Honest controllers
-//! derive horizons from their phase timelines; adversary controllers
-//! declare horizons consistent with their strategy (see
-//! `bd-dispersion`'s `adversaries` module for the burst-grid design).
+//! need only guarantee it would neither read nor deviate from its route.
+//! Honest controllers derive horizons and route ends from their phase
+//! timelines; adversary controllers declare horizons consistent with their
+//! strategy (see `bd-dispersion`'s `adversaries` module for the burst-grid
+//! design).
 //! Measured rounds are timeline-derived, so fast-forwarding never drifts
 //! them — the determinism suite replays scenarios with the feature
 //! disabled and asserts bit-identical trajectories.
@@ -69,6 +76,7 @@ pub mod error;
 pub mod ids;
 pub mod metrics;
 pub mod observation;
+pub mod route;
 pub mod trace;
 pub mod world;
 
@@ -79,5 +87,6 @@ pub use error::RunError;
 pub use ids::{Flavor, RobotId};
 pub use metrics::RunMetrics;
 pub use observation::{ArrivalInfo, Observation, Publication};
+pub use route::Route;
 pub use trace::{Event, Trace, TraceDivergence};
 pub use world::World;

@@ -25,8 +25,8 @@ pub struct RunMetrics {
     /// robot requested communication).
     pub subrounds_executed: u64,
     /// Rounds fast-forwarded over because every active robot declared
-    /// idleness (counted inside [`RunMetrics::rounds`], never in addition
-    /// to it). `rounds - rounds_skipped` is the number of rounds the engine
+    /// idleness or a route (counted inside [`RunMetrics::rounds`], never in
+    /// addition to it). `rounds - rounds_skipped` is the number of rounds the engine
     /// actually stepped.
     pub rounds_skipped: u64,
     /// Wall-clock cost of the run in microseconds, measured by the session

@@ -30,7 +30,8 @@ pub const DEFAULT_WINDOW_LEN: u64 = 1024;
 /// (the "new engine counter ⇒ new doc row" rule).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EngineCounters {
-    /// Robot relocations committed (one per accepted `MoveChoice::Move`).
+    /// Robot relocations committed (one per accepted `MoveChoice::Move`,
+    /// and one per route port walked in a fast-forward jump).
     pub moves: u64,
     /// Bulletin messages flushed from the pending buffer onto boards.
     pub bulletin_writes: u64,
@@ -46,9 +47,9 @@ pub struct EngineCounters {
     pub dirty_marks: u64,
     /// Bulletin boards cleared at round end (touched-list drains).
     pub bulletin_clears: u64,
-    /// Fast-forward jumps taken.
+    /// Fast-forward jumps taken (idle skips and route jumps alike).
     pub ff_jumps: u64,
-    /// Rounds skipped by fast-forward.
+    /// Rounds skipped by fast-forward (jumped, not stepped).
     pub rounds_skipped: u64,
     /// Rounds actually stepped (not skipped).
     pub rounds_stepped: u64,
