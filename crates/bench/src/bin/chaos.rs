@@ -35,6 +35,7 @@
 //! A/B: puts through a disabled chaos handle vs an armed-but-quiet one;
 //! the injection points must cost nothing measurable when disabled).
 
+use bd_bench::cli::{self, Flag};
 use bd_chaos::{Chaos, FaultPlan, SocketFault};
 use bd_dispersion::canon::SpecDigest;
 use bd_dispersion::runner::{Algorithm, Outcome, ScenarioSpec};
@@ -612,11 +613,10 @@ fn client_timeout_drill() -> Vec<String> {
 
 /// Interleaved A/B: N store appends through `Chaos::off()` vs an armed
 /// handle whose plan never fires. Pins "fault injection costs nothing
-/// when disabled" with the same best-of-3 pattern as the telemetry
-/// overhead smoke; the jitter floor is wider (2ms) because appends are
-/// flush-bound I/O, not pure compute.
+/// when disabled" with the same gate as the telemetry overhead smoke
+/// ([`bd_bench::gate::overhead`]); the jitter floor is wider (2ms) because
+/// appends are flush-bound I/O, not pure compute.
 fn overhead_check() -> ! {
-    const ITERS: usize = 3;
     const PUTS: u64 = 400;
     let seed = Seed::grow();
     let base = std::env::temp_dir().join(format!("bd-chaos-overhead-{}", std::process::id()));
@@ -641,49 +641,28 @@ fn overhead_check() -> ! {
         let _ = std::fs::remove_dir_all(&dir);
         micros
     };
-    // Untimed warm-up (page cache, allocator).
-    let _ = run(false, usize::MAX);
-    let mut best = [u64::MAX; 2];
-    for i in 0..2 * ITERS {
-        let armed = i % 2 == 1;
-        let micros = run(armed, i);
-        best[usize::from(armed)] = best[usize::from(armed)].min(micros);
-        println!(
-            "iter {:>2} chaos={:<8} {PUTS} puts in {micros:>8} us",
-            i + 1,
-            if armed { "armed" } else { "off" },
-        );
-    }
+    let passed = bd_bench::gate::overhead(["chaos=off", "chaos=armed-quiet"], 2000, run);
     let _ = std::fs::remove_dir_all(&base);
-    let [off, armed] = best;
-    let budget = off + off / 20 + 2000;
-    println!(
-        "best off {off} us, best armed-quiet {armed} us, budget {budget} us (overhead {:+.2}%)",
-        100.0 * (armed as f64 - off as f64) / off.max(1) as f64
-    );
-    if armed > budget {
-        eprintln!("chaos: injection-point overhead exceeds the 5% budget");
-        std::process::exit(1);
-    }
-    println!("overhead within budget");
-    std::process::exit(0);
+    std::process::exit(if passed { 0 } else { 1 });
 }
 
+const FLAGS: &[Flag] = &[
+    Flag::switch("--quick"),
+    Flag::switch("--broken"),
+    Flag::switch("--overhead-check"),
+    Flag::value::<u64>("--cycles", "N"),
+    Flag::value::<u64>("--seed", "S"),
+];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let broken = args.iter().any(|a| a == "--broken");
-    if args.iter().any(|a| a == "--overhead-check") {
+    let args = cli::parse_env("chaos", FLAGS);
+    let quick = args.has("--quick");
+    let broken = args.has("--broken");
+    if args.has("--overhead-check") {
         overhead_check();
     }
-    let flag = |name: &str| -> Option<u64> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-    };
-    let cycles = flag("--cycles").unwrap_or(if quick { 60 } else { 240 });
-    let seed = flag("--seed").unwrap_or(0xb0d5);
+    let cycles = args.get("--cycles").unwrap_or(if quick { 60 } else { 240 });
+    let seed = args.get("--seed").unwrap_or(0xb0d5);
 
     let mut failures: Vec<String> = Vec::new();
     let tally = journal_drill(cycles, seed, broken);

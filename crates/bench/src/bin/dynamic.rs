@@ -16,31 +16,27 @@
 //!                       fresh outcome is byte-identical to the recorded one
 //!     [--oracle]        differentially check the run against the naive engine
 
+use bd_bench::cli::{self, Flag};
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::Algorithm;
 use bd_dispersion::ScenarioSpec;
 use bd_dynamic::{replay, DynamicSession, DynamicSpec, EventKind, EventSchedule, ReplayVerdict};
 use bd_graphs::generators::ring;
 
-fn arg_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    let i = args.iter().position(|a| a == flag)?;
-    let raw = args.get(i + 1).unwrap_or_else(|| {
-        eprintln!("{flag} needs a value");
-        std::process::exit(2);
-    });
-    match raw.parse() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            eprintln!("{flag}: cannot parse {raw:?}");
-            std::process::exit(2);
-        }
-    }
-}
+const FLAGS: &[Flag] = &[
+    Flag::value::<usize>("--n", "N"),
+    Flag::value::<usize>("--robots", "K"),
+    Flag::value::<usize>("--byzantine", "F"),
+    Flag::value::<u64>("--seed", "S"),
+    Flag::value::<String>("--export", "FILE"),
+    Flag::value::<String>("--replay", "FILE"),
+    Flag::switch("--oracle"),
+];
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = cli::parse_env("dynamic", FLAGS);
 
-    if let Some(path) = arg_value::<String>(&args, "--replay") {
+    if let Some(path) = args.get::<String>("--replay") {
         let doc = std::fs::read_to_string(&path).unwrap_or_else(|e| {
             eprintln!("cannot read {path}: {e}");
             std::process::exit(2);
@@ -61,10 +57,10 @@ fn main() {
         return;
     }
 
-    let n: usize = arg_value(&args, "--n").unwrap_or(10);
-    let k: usize = arg_value(&args, "--robots").unwrap_or(n.saturating_sub(2).max(2));
-    let f: usize = arg_value(&args, "--byzantine").unwrap_or(1);
-    let seed: u64 = arg_value(&args, "--seed").unwrap_or(2026);
+    let n: usize = args.get("--n").unwrap_or(10);
+    let k: usize = args.get("--robots").unwrap_or(n.saturating_sub(2).max(2));
+    let f: usize = args.get("--byzantine").unwrap_or(1);
+    let seed: u64 = args.get("--seed").unwrap_or(2026);
 
     let graph = ring(n).unwrap_or_else(|e| {
         eprintln!("bad graph parameters: {e}");
@@ -124,7 +120,7 @@ fn main() {
         outcome.all_dispersed()
     );
 
-    if args.iter().any(|a| a == "--oracle") {
+    if args.has("--oracle") {
         let verdict = bd_oracle::check_dynamic_cell(&session, &spec);
         if verdict.agreed() {
             println!("oracle: epoch-for-epoch agreement with the naive engine");
@@ -134,7 +130,7 @@ fn main() {
         }
     }
 
-    if let Some(path) = arg_value::<String>(&args, "--export") {
+    if let Some(path) = args.get::<String>("--export") {
         let doc = replay::export(&graph, &spec, &outcome);
         if let Err(e) = std::fs::write(&path, &doc) {
             eprintln!("cannot write {path}: {e}");

@@ -24,44 +24,41 @@
 //!     [--cases N] [--seed S] [--max-n N] [--budget-secs T] [--broken] \
 //!     [--trace-out FILE] [--static-only] [--dynamic-only]
 
-use bd_bench::trace_out_from_args;
+use bd_bench::cli::{self, Flag};
+use bd_bench::TraceOut;
 use bd_oracle::{run_dynamic_fuzz_with, run_fuzz_with, FuzzConfig};
 use std::time::Duration;
 
-fn arg_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    let i = args.iter().position(|a| a == flag)?;
-    let raw = args.get(i + 1).unwrap_or_else(|| {
-        eprintln!("{flag} needs a value");
-        std::process::exit(2);
-    });
-    match raw.parse() {
-        Ok(v) => Some(v),
-        Err(_) => {
-            eprintln!("{flag}: cannot parse {raw:?}");
-            std::process::exit(2);
-        }
-    }
-}
+const FLAGS: &[Flag] = &[
+    Flag::value::<usize>("--cases", "N"),
+    Flag::value::<u64>("--seed", "S"),
+    Flag::value::<usize>("--max-n", "N"),
+    Flag::value::<u64>("--budget-secs", "T"),
+    Flag::switch("--broken"),
+    cli::TRACE_OUT,
+    Flag::switch("--static-only"),
+    Flag::switch("--dynamic-only"),
+];
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = cli::parse_env("fuzz", FLAGS);
     let mut config = FuzzConfig::default();
-    if let Some(cases) = arg_value(&args, "--cases") {
+    if let Some(cases) = args.get("--cases") {
         config.cases = cases;
     }
-    if let Some(seed) = arg_value(&args, "--seed") {
+    if let Some(seed) = args.get("--seed") {
         config.seed = seed;
     }
-    if let Some(max_n) = arg_value(&args, "--max-n") {
+    if let Some(max_n) = args.get("--max-n") {
         config.max_n = max_n;
     }
-    if let Some(secs) = arg_value::<u64>(&args, "--budget-secs") {
+    if let Some(secs) = args.get("--budget-secs") {
         config.time_budget = Some(Duration::from_secs(secs));
     }
-    let broken = args.iter().any(|a| a == "--broken");
-    let static_pass = !args.iter().any(|a| a == "--dynamic-only");
-    let dynamic_pass = !args.iter().any(|a| a == "--static-only");
-    let trace = trace_out_from_args("fuzz", &args);
+    let broken = args.has("--broken");
+    let static_pass = !args.has("--dynamic-only");
+    let dynamic_pass = !args.has("--static-only");
+    let trace = TraceOut::from_args(&args);
 
     println!(
         "differential fuzz: {} cases, seed {:#x}, n <= {}, budget {:?}{}",

@@ -6,11 +6,13 @@
 //! p50/p90/p99 latency per traffic class (a class's rate is computed
 //! over the time the clients spent in that class, the overall rate over
 //! total wall). This is the serving twin of
-//! `bench_table1`: `--out` writes `BENCH_serve.json`, and
-//! `--gate BASELINE.json [--min-ratio R]` exits 1 if any class's (or the
-//! overall) req/s falls below `R ×` the committed baseline. Latency
-//! percentiles are reported but never gated — wall-clock percentiles on
-//! shared runners are too noisy to fail a build on.
+//! `table1 --bench-out`: `--out PATH` writes the `BENCH_serve.json`
+//! document (nothing is written without it), and `--gate BASELINE.json`
+//! exits 1 if any class's (or the overall) req/s falls below
+//! [`bd_bench::gate::MIN_RATIO`] × the baseline, which is read before the
+//! run starts. Latency percentiles are reported but never gated —
+//! wall-clock percentiles on shared runners are too noisy to fail a build
+//! on.
 //!
 //! Three traffic classes, each a `POST /batches` + poll-to-done cycle:
 //!
@@ -28,26 +30,30 @@
 //!
 //! Usage:
 //! `cargo run --release -p bd-bench --bin load [-- --quick] [--concurrency N] \
-//!  [--seed S] [--addr HOST:PORT] [--out PATH] [--gate BASELINE.json] [--min-ratio R]`
+//!  [--seed S] [--addr HOST:PORT] [--out PATH] [--gate BASELINE.json]`
 
+use bd_bench::cli::{self, Flag};
+use bd_bench::gate::{self, Baseline};
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::{Algorithm, ScenarioSpec};
 use bd_graphs::PortGraph;
 use bd_service::protocol::BatchRequest;
 use bd_service::{Client, Daemon, GraphSource, ServeConfig};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 const CLASSES: [&str; 3] = ["hit", "miss", "dedup"];
 const POOL: usize = 8;
 const WAIT: Duration = Duration::from_secs(120);
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: load [--quick] [--concurrency N] [--seed S] [--addr HOST:PORT] \
-         [--out PATH] [--gate BASELINE.json] [--min-ratio R]"
-    );
-    std::process::exit(2);
-}
+const FLAGS: &[Flag] = &[
+    Flag::switch("--quick"),
+    Flag::value::<usize>("--concurrency", "N"),
+    Flag::value::<u64>("--seed", "S"),
+    Flag::value::<SocketAddr>("--addr", "HOST:PORT"),
+    Flag::value::<String>("--out", "PATH"),
+    Flag::value::<String>("--gate", "BASELINE"),
+];
 
 /// One Table 1-style evaluation cell on the bench graph at tolerance.
 fn spec(graph: &PortGraph, n: usize, seed: u64) -> ScenarioSpec {
@@ -89,30 +95,21 @@ fn drive(client: &Client, request: &BatchRequest) -> (u64, (u64, u64, u64)) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let flag = |name: &str| {
-        args.iter().position(|a| a == name).map(|i| {
-            args.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("load: {name} needs a value");
-                usage()
-            })
-        })
-    };
-    let concurrency: usize =
-        flag("--concurrency").map_or(8, |s| s.parse().unwrap_or_else(|_| usage()));
-    let seed_base: u64 = flag("--seed").map_or(1000, |s| s.parse().unwrap_or_else(|_| usage()));
-    let out_path = flag("--out").unwrap_or_else(|| "BENCH_serve.json".into());
-    let gate_path = flag("--gate");
-    let min_ratio: f64 =
-        flag("--min-ratio").map_or(0.25, |s| s.parse().unwrap_or_else(|_| usage()));
+    let args = cli::parse_env("load", FLAGS);
+    let quick = args.has("--quick");
+    let concurrency: usize = args.get("--concurrency").unwrap_or(8);
+    let seed_base: u64 = args.get("--seed").unwrap_or(1000);
+    let out_path: Option<String> = args.get("--out");
+    let baseline = args
+        .get::<String>("--gate")
+        .map(|path| Baseline::load(&path).unwrap_or_else(|e| cli::fail("load", FLAGS, &e)));
     let reps: usize = if quick { 2 } else { 16 };
     if concurrency == 0 {
-        usage();
+        cli::fail("load", FLAGS, "--concurrency must be at least 1");
     }
 
     // In-process daemon on a throwaway store unless --addr points at one.
-    let external = flag("--addr");
+    let external: Option<SocketAddr> = args.get("--addr");
     let store_dir = std::env::temp_dir().join(format!("bd-load-{}", std::process::id()));
     let daemon = if external.is_none() {
         let _ = std::fs::remove_dir_all(&store_dir);
@@ -125,8 +122,8 @@ fn main() {
     } else {
         None
     };
-    let addr = match (&external, &daemon) {
-        (Some(a), _) => a.parse().unwrap_or_else(|_| usage()),
+    let addr = match (external, &daemon) {
+        (Some(a), _) => a,
         (None, Some(d)) => d.local_addr(),
         (None, None) => unreachable!(),
     };
@@ -316,61 +313,15 @@ fn main() {
         "wall_secs": wall_secs,
         "req_per_sec": total_rps,
     });
-    std::fs::write(
-        &out_path,
-        format!("{}\n", serde_json::to_string_pretty(&doc).unwrap()),
-    )
-    .unwrap_or_else(|e| panic!("writing {out_path}: {e}"));
-    println!("\nwrote {out_path}");
+    if let Some(path) = out_path {
+        gate::write(&path, &doc);
+    }
 
-    // Throughput regression gate against a committed baseline — same
-    // shape as `bench_table1 --gate`: ratio = current / baseline, fail
-    // below --min-ratio, latency never gated.
-    if let Some(gate_path) = gate_path {
-        let text = std::fs::read_to_string(&gate_path)
-            .unwrap_or_else(|e| panic!("reading gate baseline {gate_path}: {e}"));
-        let baseline: serde_json::Value =
-            serde_json::from_str(&text).unwrap_or_else(|e| panic!("parsing {gate_path}: {e}"));
-        println!("\ngate vs {gate_path} (min ratio {min_ratio}):");
-        let mut failed = false;
-        let mut check = |name: &str, current: f64, base: Option<f64>| {
-            let Some(base) = base else {
-                println!("  {name:<8} (no baseline entry, skipped)");
-                return;
-            };
-            let ratio = current / base.max(1e-9);
-            let ok = ratio >= min_ratio;
-            failed |= !ok;
-            println!(
-                "  {name:<8} {current:>10.1} vs {base:>10.1} req/s  ratio {ratio:>5.2}  {}",
-                if ok { "ok" } else { "REGRESSION" }
-            );
-        };
-        let base_classes = baseline.get("classes").and_then(|c| c.as_array());
-        for row in &classes {
-            let name = row.get("class").and_then(|v| v.as_str()).expect("class");
-            let rps = row
-                .get("req_per_sec")
-                .and_then(|v| v.as_f64())
-                .expect("req_per_sec");
-            let base = base_classes.and_then(|rows| {
-                rows.iter().find_map(|b| {
-                    (b.get("class").and_then(|v| v.as_str()) == Some(name))
-                        .then(|| b.get("req_per_sec").and_then(|v| v.as_f64()))
-                        .flatten()
-                })
-            });
-            check(name, rps, base);
-        }
-        check(
-            "TOTAL",
-            total_rps,
-            baseline.get("req_per_sec").and_then(|v| v.as_f64()),
-        );
-        if failed {
-            eprintln!("load: serving throughput regression against {gate_path}");
+    // Throughput regression gate against the baseline read at start-up:
+    // every class's req/s plus the overall rate; latency never gated.
+    if let Some(baseline) = baseline {
+        if !baseline.check(&doc, "classes", "class", "req_per_sec") {
             std::process::exit(1);
         }
-        println!("gate passed: every class within {min_ratio}x of baseline");
     }
 }

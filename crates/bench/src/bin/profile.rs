@@ -25,6 +25,7 @@
 // `unsafe`: a `GlobalAlloc` impl forwarding to `System`.
 #![allow(unsafe_code)]
 
+use bd_bench::cli::{self, Flag};
 use bd_bench::{bench_graph, run_spec_cell, starting_config, table1_batch, table1_sweeps, Cell};
 use bd_dispersion::runner::Algorithm;
 use bd_dispersion::Session;
@@ -161,54 +162,34 @@ fn run_profiled(
     (cell, reports.remove(0))
 }
 
-/// Interleaved A/B overhead smoke: quick Table 1 batch, telemetry
-/// enabled vs disabled, best-of-`ITERS` per side on the summed engine
-/// wall clock. Engine construction samples the flag, so toggling between
+/// Interleaved A/B overhead smoke ([`bd_bench::gate::overhead`]): the
+/// quick Table 1 batch's summed engine wall clock with telemetry disabled
+/// vs enabled. Engine construction samples the flag, so toggling between
 /// batches is race-free.
 fn overhead_check() -> ! {
-    const ITERS: usize = 3;
-    // Untimed warm-up batch: the first batch of the process pays one-time
-    // costs (page faults, allocator warm-up) that would otherwise skew
-    // whichever side runs first.
-    let _ = table1_batch(true, 1, None);
-    let mut best = [u64::MAX; 2];
-    for i in 0..2 * ITERS {
-        let enabled = i % 2 == 1;
+    let sides = ["telemetry=disabled", "telemetry=enabled"];
+    let passed = bd_bench::gate::overhead(sides, 500, |enabled, _| {
         bd_telemetry::enable_counters(enabled);
         let (rows, _) = table1_batch(true, 1, None);
         let _ = drain_engine_reports();
-        let engine_micros: u64 = rows.iter().flatten().map(|c| c.elapsed_micros).sum();
-        best[usize::from(enabled)] = best[usize::from(enabled)].min(engine_micros);
-        println!(
-            "iter {:>2} telemetry={:<8} quick table1 engine time {:>9} us",
-            i + 1,
-            if enabled { "enabled" } else { "disabled" },
-            engine_micros
-        );
-    }
-    bd_telemetry::enable_counters(false);
-    let [disabled, enabled] = best;
-    // 5% relative budget plus a 500us jitter floor so sub-millisecond
-    // timer noise cannot fail the gate on very fast machines.
-    let budget = disabled + disabled / 20 + 500;
-    println!(
-        "best disabled {disabled} us, best enabled {enabled} us, budget {budget} us \
-         (overhead {:+.2}%)",
-        100.0 * (enabled as f64 - disabled as f64) / disabled.max(1) as f64
-    );
-    if enabled > budget {
-        eprintln!("profile: telemetry overhead exceeds the 5% budget");
-        std::process::exit(1);
-    }
-    println!("overhead within budget");
-    std::process::exit(0);
+        let cells = rows.iter().flat_map(|row| &row.cells);
+        cells.map(|c| c.elapsed_micros).sum()
+    });
+    std::process::exit(if passed { 0 } else { 1 });
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check");
-    if args.iter().any(|a| a == "--overhead-check") {
+    let args = cli::parse_env(
+        "profile",
+        &[
+            Flag::switch("--quick"),
+            Flag::switch("--check"),
+            Flag::switch("--overhead-check"),
+        ],
+    );
+    let quick = args.has("--quick");
+    let check = args.has("--check");
+    if args.has("--overhead-check") {
         overhead_check();
     }
 

@@ -19,9 +19,10 @@
 //!
 //! Usage: `cargo run --release -p bd-bench --bin series [--quick] [--store DIR] [--trace-out FILE] > series.jsonl`
 
+use bd_bench::cli::{self, Flag};
 use bd_bench::{
-    mean_elapsed_micros, mean_rounds, mean_rounds_by_k, mean_skipped_rounds, run_series_cells,
-    store_from_args, success_rate, sweep_k, sweep_n, trace_out_from_args, SeriesCoord,
+    mean_elapsed_micros, mean_rounds, mean_rounds_by_k, mean_skipped_rounds, open_store,
+    run_series_cells, success_rate, sweep_k, sweep_n, SeriesCoord, TraceOut,
 };
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::{Algorithm, ByzPlacement};
@@ -29,11 +30,14 @@ use bd_service::CacheStats;
 use serde_json::json;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let store = store_from_args("series", &args);
+    let args = cli::parse_env(
+        "series",
+        &[Flag::switch("--quick"), cli::STORE, cli::TRACE_OUT],
+    );
+    let quick = args.has("--quick");
+    let store = open_store("series", &args);
     let store = store.as_ref();
-    let trace = trace_out_from_args("series", &args);
+    let trace = TraceOut::from_args(&args);
     bd_telemetry::init_from_env();
     let mut totals = CacheStats::default();
     let reps: u64 = if quick { 2 } else { 5 };

@@ -6,7 +6,8 @@
 //!   `benches/`, and the [`bin/table1`](../../src/bin/table1.rs) binary that
 //!   prints measured-vs-paper columns (running time shape, starting
 //!   configuration, Byzantine tolerance, strong handling) straight from the
-//!   `TableRow` registry;
+//!   `TableRow` registry, and with `--bench-out`/`--gate` records and gates
+//!   each row's throughput ([`gate`]);
 //! * **Theorem 8**: the impossibility boundary sweep;
 //! * **series** (our additions a systems evaluation would include): rounds
 //!   vs `n` per row with fitted exponents, success rate vs `f` around each
@@ -17,6 +18,12 @@
 //! sweep is one [`CachedPlanner`] batch: cost-ordered over the pool, with
 //! graphs shared per `(n, seed)` coordinate, and backed by a
 //! [`ResultStore`] only when the bin was given `--store DIR`.
+//!
+//! Every bin parses its flags through [`cli`], which rejects anything the
+//! bin does not declare.
+
+pub mod cli;
+pub mod gate;
 
 use bd_dispersion::adversaries::AdversaryKind;
 use bd_dispersion::runner::{Algorithm, ByzPlacement, ScenarioSpec};
@@ -54,9 +61,10 @@ pub struct Cell {
 
 /// Sweep shape of one Table 1 row: the `n` grid and the adversary the row
 /// is evaluated against. Everything else (tolerance, start, budget) comes
-/// from the row's registry descriptor. Shared by the `table1` printing bin
-/// and the `bench_table1` wall-clock harness so both measure the identical
-/// sweep.
+/// from the row's registry descriptor. [`table1_batch`] runs these shapes
+/// for the `table1` bin, whose `--bench-out` timings therefore measure the
+/// very sweep it prints; `profile` and the serving benchmark draw their
+/// cells from the same shapes.
 pub struct Table1Sweep {
     /// The Table 1 row.
     pub algo: Algorithm,
@@ -135,45 +143,36 @@ pub fn starting_config(algo: Algorithm, g: &PortGraph) -> ScenarioSpec {
     ScenarioSpec::evaluation(algo, g)
 }
 
-/// Parse the bins' shared `--store DIR` flag out of `argv` and open the
-/// store. Exits the process on a missing value or an unopenable store —
-/// bin-level behavior, shared by `table1` and `series` so the flag cannot
-/// drift between them.
-pub fn store_from_args(bin: &str, args: &[String]) -> Option<ResultStore> {
-    let i = args.iter().position(|a| a == "--store")?;
-    let dir = args.get(i + 1).unwrap_or_else(|| {
-        eprintln!("{bin}: --store needs a directory");
-        std::process::exit(2);
-    });
-    Some(ResultStore::open(dir).unwrap_or_else(|e| {
+/// Open the store named by the bins' shared [`cli::STORE`] flag, if
+/// given. Exits the process on an unopenable store — bin-level behavior,
+/// shared by `table1` and `series` so the flag cannot drift between them.
+pub fn open_store(bin: &str, args: &cli::Args) -> Option<ResultStore> {
+    let dir: String = args.get("--store")?;
+    Some(ResultStore::open(&dir).unwrap_or_else(|e| {
         eprintln!("{bin}: cannot open store {dir}: {e}");
         std::process::exit(1);
     }))
 }
 
-/// Parse the bins' shared `--trace-out FILE` flag. When present, span
-/// *and* engine-counter recording are switched on process-wide (the phase
-/// level of the span tree is emitted by the engine recorder), and the
-/// returned handle writes the collected Chrome trace-event JSONL to FILE —
-/// call [`TraceOut::finish`] at the end of `main`. Exits the process on a
-/// missing value, like [`store_from_args`].
-pub fn trace_out_from_args(bin: &str, args: &[String]) -> Option<TraceOut> {
-    let i = args.iter().position(|a| a == "--trace-out")?;
-    let path = args.get(i + 1).unwrap_or_else(|| {
-        eprintln!("{bin}: --trace-out needs a file path");
-        std::process::exit(2);
-    });
-    bd_telemetry::enable_spans(true);
-    bd_telemetry::enable_counters(true);
-    Some(TraceOut { path: path.clone() })
-}
-
-/// A pending trace export (see [`trace_out_from_args`]).
+/// A pending trace export, requested by the bins' shared
+/// [`cli::TRACE_OUT`] flag.
 pub struct TraceOut {
     path: String,
 }
 
 impl TraceOut {
+    /// When `--trace-out FILE` was given, switch span *and* engine-counter
+    /// recording on process-wide (the phase level of the span tree is
+    /// emitted by the engine recorder) and return the handle that writes
+    /// the collected Chrome trace-event JSONL to FILE — call
+    /// [`TraceOut::finish`] at the end of `main`.
+    pub fn from_args(args: &cli::Args) -> Option<TraceOut> {
+        let path = args.get("--trace-out")?;
+        bd_telemetry::enable_spans(true);
+        bd_telemetry::enable_counters(true);
+        Some(TraceOut { path })
+    }
+
     /// Drain every recorded span event and write the JSONL trace (one
     /// Chrome trace event object per line; wrap with `jq -s .` for trace
     /// viewers). Also drains the engine-report buffer the instrumented
@@ -217,32 +216,23 @@ impl GraphCache {
     }
 }
 
-/// Queue one sweep cell on `planner`: the spec `run_cell` would build for
-/// these coordinates, on the cache's shared graph. Returns the spec (for
-/// [`cell_of`] after the batch runs).
-fn queue_cell(
-    planner: &mut CachedPlanner<'_>,
-    cache: &mut GraphCache,
-    algo: Algorithm,
-    n: usize,
-    f: usize,
-    adversary: AdversaryKind,
-    placement: ByzPlacement,
-    seed: u64,
-) -> ScenarioSpec {
-    let graph = cache.get(n, seed);
-    let spec = starting_config(algo, &graph)
-        .with_byzantine(f, adversary)
-        .with_placement(placement)
-        .with_seed(seed);
-    let k = spec.num_robots;
-    let spec = if f > algo.row().tolerance(n, k) {
-        spec.overloaded()
-    } else {
-        spec
-    };
-    planner.add(&graph, spec.clone());
-    spec
+/// Run `(graph, spec)` cells as one planner batch and fold the results
+/// into [`Cell`]s in input order; `store` as in [`sweep_n`].
+fn run_batch(
+    cells: Vec<(Arc<PortGraph>, ScenarioSpec)>,
+    store: Option<&ResultStore>,
+) -> (Vec<Cell>, CacheStats) {
+    let mut planner = CachedPlanner::with_store(store);
+    for (graph, spec) in &cells {
+        planner.add(graph, spec.clone());
+    }
+    let (results, stats) = planner.run().expect("result store I/O");
+    let cells = results
+        .into_iter()
+        .zip(&cells)
+        .map(|(result, (graph, spec))| cell_of(spec, graph.n(), result))
+        .collect();
+    (cells, stats)
 }
 
 /// Run one cell. Panics on scenario errors (callers pick valid cells);
@@ -261,7 +251,7 @@ pub fn run_cell(
     seed: u64,
 ) -> Cell {
     // One-cell batch: the spec construction and the tolerance/overload
-    // guard live in `queue_cell` only, shared with every sweep.
+    // guard live in `run_series_cells` only, shared with every sweep.
     let coord = SeriesCoord {
         algo,
         n,
@@ -323,37 +313,38 @@ pub fn sweep_n(
     reps: u64,
     store: Option<&ResultStore>,
 ) -> (Vec<Cell>, CacheStats) {
-    let mut planner = CachedPlanner::with_store(store);
-    let mut cache = GraphCache::new();
-    let mut meta: Vec<(ScenarioSpec, usize)> = Vec::new();
-    for &n in ns {
-        for rep in 0..reps {
-            let spec = queue_cell(
-                &mut planner,
-                &mut cache,
+    let f_of_n = &f_of_n;
+    let coords: Vec<SeriesCoord> = ns
+        .iter()
+        .flat_map(|&n| {
+            (0..reps).map(move |rep| SeriesCoord {
                 algo,
                 n,
-                f_of_n(n),
+                f: f_of_n(n),
                 adversary,
-                ByzPlacement::Random,
-                1000 + rep,
-            );
-            meta.push((spec, n));
-        }
-    }
-    let (results, stats) = planner.run().expect("result store I/O");
-    let cells = results
-        .into_iter()
-        .zip(meta)
-        .map(|(result, (spec, n))| cell_of(&spec, n, result))
+                placement: ByzPlacement::Random,
+                seed: 1000 + rep,
+            })
+        })
         .collect();
-    (cells, stats)
+    run_series_cells(&coords, store)
 }
 
-/// The whole Table 1 sweep as **one** multi-graph batch: all rows' cells
-/// queued on a single planner (graphs of every size side by side) and
-/// executed largest-cost-first. Returns per-sweep cell vectors in
-/// [`table1_sweeps`] order.
+/// One Table 1 row's sweep result from [`table1_batch`].
+pub struct Table1Row {
+    /// The row's sweep shape.
+    pub sweep: &'static Table1Sweep,
+    /// The row's cells, `n`-major then seed, as [`sweep_n`] returns them.
+    pub cells: Vec<Cell>,
+    /// Wall-clock of the row's batch, milliseconds.
+    pub wall_ms: f64,
+}
+
+/// The whole Table 1 sweep: each row of [`table1_sweeps`] runs as its own
+/// [`sweep_n`] batch (the grid `quick` selects, `reps` seeds per `n`, `f`
+/// at the row's tolerance) and is timed on its own, so the rows double as
+/// the per-row throughput benchmark (`table1 --bench-out`). Returns the
+/// rows in [`table1_sweeps`] order and the summed [`CacheStats`].
 ///
 /// With a [`ResultStore`] (the opt-in `table1 --store DIR` path), a warm
 /// store replays the whole table with **zero rounds simulated** (the stats
@@ -363,34 +354,29 @@ pub fn table1_batch(
     quick: bool,
     reps: u64,
     store: Option<&ResultStore>,
-) -> (Vec<Vec<Cell>>, CacheStats) {
-    let sweeps = table1_sweeps();
-    let mut planner = CachedPlanner::with_store(store);
-    let mut cache = GraphCache::new();
-    let mut meta: Vec<(usize, ScenarioSpec, usize)> = Vec::new();
-    for (serial, sweep) in sweeps.iter().enumerate() {
-        let ns = if quick { sweep.quick_ns } else { sweep.ns };
-        for &n in ns {
-            for rep in 0..reps {
-                let spec = queue_cell(
-                    &mut planner,
-                    &mut cache,
-                    sweep.algo,
-                    n,
-                    sweep.algo.tolerance(n),
-                    sweep.adversary,
-                    ByzPlacement::Random,
-                    1000 + rep,
-                );
-                meta.push((serial, spec, n));
+) -> (Vec<Table1Row>, CacheStats) {
+    let mut stats = CacheStats::default();
+    let rows = table1_sweeps()
+        .iter()
+        .map(|sweep| {
+            let ns = if quick { sweep.quick_ns } else { sweep.ns };
+            let t0 = std::time::Instant::now();
+            let (cells, row_stats) = sweep_n(
+                sweep.algo,
+                ns,
+                |n| sweep.algo.tolerance(n),
+                sweep.adversary,
+                reps,
+                store,
+            );
+            stats.merge(&row_stats);
+            Table1Row {
+                sweep,
+                cells,
+                wall_ms: t0.elapsed().as_secs_f64() * 1e3,
             }
-        }
-    }
-    let mut rows: Vec<Vec<Cell>> = sweeps.iter().map(|_| Vec::new()).collect();
-    let (results, stats) = planner.run().expect("result store I/O");
-    for (result, (serial, spec, n)) in results.into_iter().zip(meta) {
-        rows[serial].push(cell_of(&spec, n, result));
-    }
+        })
+        .collect();
     (rows, stats)
 }
 
@@ -421,29 +407,24 @@ pub fn run_series_cells(
     coords: &[SeriesCoord],
     store: Option<&ResultStore>,
 ) -> (Vec<Cell>, CacheStats) {
-    let mut planner = CachedPlanner::with_store(store);
     let mut cache = GraphCache::new();
-    let mut meta: Vec<(ScenarioSpec, usize)> = Vec::new();
-    for c in coords {
-        let spec = queue_cell(
-            &mut planner,
-            &mut cache,
-            c.algo,
-            c.n,
-            c.f,
-            c.adversary,
-            c.placement,
-            c.seed,
-        );
-        meta.push((spec, c.n));
-    }
-    let (results, stats) = planner.run().expect("result store I/O");
-    let cells = results
-        .into_iter()
-        .zip(meta)
-        .map(|(result, (spec, n))| cell_of(&spec, n, result))
+    let cells = coords
+        .iter()
+        .map(|c| {
+            let graph = cache.get(c.n, c.seed);
+            let spec = starting_config(c.algo, &graph)
+                .with_byzantine(c.f, c.adversary)
+                .with_placement(c.placement)
+                .with_seed(c.seed);
+            let spec = if c.f > c.algo.row().tolerance(c.n, spec.num_robots) {
+                spec.overloaded()
+            } else {
+                spec
+            };
+            (graph, spec)
+        })
         .collect();
-    (cells, stats)
+    run_batch(cells, store)
 }
 
 /// Sweep robot-count bins on one shared graph: for each `k` in `ks`,
@@ -459,30 +440,18 @@ pub fn sweep_k(
     store: Option<&ResultStore>,
 ) -> (Vec<Cell>, CacheStats) {
     let graph = Arc::new(bench_graph(n, 1000));
-    let mut planner = CachedPlanner::with_store(store);
-    let specs: Vec<ScenarioSpec> = ks
+    let cells = ks
         .iter()
-        .flat_map(|&k| {
-            let graph = &graph;
-            (0..reps).map(move |rep| {
-                let f = algo.row().tolerance(n, k);
-                starting_config(algo, graph)
-                    .with_robots(k)
-                    .with_byzantine(f, adversary)
-                    .with_seed(4000 + rep)
-            })
+        .flat_map(|&k| (0..reps).map(move |rep| (k, rep)))
+        .map(|(k, rep)| {
+            let spec = starting_config(algo, &graph)
+                .with_robots(k)
+                .with_byzantine(algo.row().tolerance(n, k), adversary)
+                .with_seed(4000 + rep);
+            (Arc::clone(&graph), spec)
         })
         .collect();
-    for spec in &specs {
-        planner.add(&graph, spec.clone());
-    }
-    let (results, stats) = planner.run().expect("result store I/O");
-    let cells = results
-        .into_iter()
-        .zip(&specs)
-        .map(|(res, spec)| cell_of(spec, n, res))
-        .collect();
-    (cells, stats)
+    run_batch(cells, store)
 }
 
 /// Mean of an arbitrary cell quantity grouped by an arbitrary cell key.

@@ -22,7 +22,7 @@ fn second_quick_table1_run_simulates_zero_rounds() {
     let store = ResultStore::open(&dir).unwrap();
 
     let (cold_rows, cold_stats) = table1_batch(true, 1, Some(&store));
-    let cells: u64 = cold_rows.iter().map(|r| r.len() as u64).sum();
+    let cells: u64 = cold_rows.iter().map(|r| r.cells.len() as u64).sum();
     assert_eq!(cold_stats.misses, cells, "cold store simulates everything");
     assert_eq!(cold_stats.hits, 0);
     assert!(cold_stats.rounds_simulated > 0);
@@ -43,7 +43,7 @@ fn second_quick_table1_run_simulates_zero_rounds() {
             // include fast-forwarded ones; recompute from the table.
             cold_rows
                 .iter()
-                .flatten()
+                .flat_map(|r| &r.cells)
                 .map(|c| c.rounds_skipped)
                 .sum::<u64>()
         }
@@ -52,7 +52,8 @@ fn second_quick_table1_run_simulates_zero_rounds() {
     // The replayed table is the stored table, cell for cell (wall-clock
     // travels with the stored outcome, so even elapsed_micros matches).
     for (cold_row, warm_row) in cold_rows.iter().zip(&warm_rows) {
-        for (a, b) in cold_row.iter().zip(warm_row) {
+        assert_eq!(cold_row.cells.len(), warm_row.cells.len());
+        for (a, b) in cold_row.cells.iter().zip(&warm_row.cells) {
             assert_eq!(
                 serde_json::to_string(a).unwrap(),
                 serde_json::to_string(b).unwrap()
